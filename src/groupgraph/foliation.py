@@ -62,12 +62,12 @@ class FoliationSpec:
     def is_red_vertex(self, v: str) -> bool:
         return self.is_invariant(v) and self.holonomy_finite.get(v) is False
 
+    def red_edges(self) -> frozenset:
+        """Edges with a non-periodic holonomy entry, whichever vertex it names."""
+        return frozenset(f for (_, f), inc in self.edge_holonomy.items() if not inc["periodic"])
+
     def is_red_edge(self, e: Edge) -> bool:
-        return any(
-            not self.edge_holonomy[(v, f)]["periodic"]
-            for (v, f) in self.edge_holonomy
-            if f == e
-        )
+        return e in self.red_edges()
 
     def incidence(self, v: str, e: Edge) -> dict | None:
         return self.edge_holonomy.get((v, e))
@@ -158,6 +158,7 @@ def validate(spec: FoliationSpec) -> list[str]:
     """All structural invariants; an empty list means the spec is valid."""
     out = []
     g = spec.graph
+    red_edges = spec.red_edges()
     if not validate_tree(g):
         out.append("dual graph is not a tree")
     for v in g.sorted_vertices():
@@ -216,7 +217,7 @@ def validate(spec: FoliationSpec) -> list[str]:
                     out.append(
                         f"edge {key}: non-periodic holonomy at {v} forces an infinite group"
                     )
-        if spec.is_red_edge(e):
+        if e in red_edges:
             for v in e:
                 if not spec.is_red_vertex(v):
                     out.append(f"edge {key}: red edge with non-red endpoint {v}")
@@ -262,40 +263,54 @@ def cut_graph(spec: FoliationSpec) -> tuple[Graph, list[Graph]]:
     return cut, comps
 
 
-def red_subgraph(spec: FoliationSpec) -> tuple[Graph, list[Graph]]:
-    """Red vertices and red edges, and the red part of each cut-component."""
-    cut, comps = cut_graph(spec)
-    vs = frozenset(v for v in cut.vertices if spec.is_red_vertex(v))
-    es = frozenset(e for e in cut.edges if spec.is_red_edge(e))
-    red = Graph(vs, es)
-    per_comp = [
-        Graph(
-            frozenset(v for v in comp.vertices if v in vs),
-            frozenset(e for e in comp.edges if e in es),
-        )
-        for comp in comps
+@dataclass(frozen=True)
+class _Analysis:
+    """A validated spec with what every stage of one analysis reads: the
+    cut-components, the red subgraph (red vertices, red cut edges) and its
+    part in each component, and the iso/not-iso class of each cut incidence."""
+
+    spec: FoliationSpec
+    comps: list[Graph]
+    red: Graph
+    red_per_comp: list[Graph]
+    classes: dict
+
+
+def _analyze(spec: FoliationSpec) -> _Analysis:
+    cut, comps = cut_graph(spec)  # validates
+    red_es = spec.red_edges()
+    red = Graph(
+        frozenset(v for v in cut.vertices if spec.is_red_vertex(v)),
+        frozenset(e for e in cut.edges if e in red_es),
+    )
+    red_per_comp = [
+        Graph(comp.vertices & red.vertices, comp.edges & red.edges) for comp in comps
     ]
-    return red, per_comp
-
-
-def classify_restrictions(spec: FoliationSpec) -> dict:
-    """iso / not-iso per cut-graph incidence, derived from orders and tdims."""
-    cut, _ = cut_graph(spec)
-    out = {}
+    classes = {}
     for v, e in cut.incidences():
-        red_v, red_e = spec.is_red_vertex(v), spec.is_red_edge(e)
-        if red_e:
+        if e in red.edges:
             # validation guarantees red endpoints
-            out[(v, e)] = "iso" if spec.vertex_tdim[v] == spec.edge_tdim[e] else "not-iso"
-        elif red_v:
-            out[(v, e)] = "not-iso"  # finite-dimensional stalk inside an infinite one
+            classes[(v, e)] = "iso" if spec.vertex_tdim[v] == spec.edge_tdim[e] else "not-iso"
+        elif v in red.vertices:
+            classes[(v, e)] = "not-iso"  # finite-dimensional stalk inside an infinite one
         else:
-            out[(v, e)] = (
+            classes[(v, e)] = (
                 "iso"
                 if spec.vertex_order[v] == spec.edge_holonomy[(v, e)]["order"]
                 else "not-iso"
             )
-    return out
+    return _Analysis(spec, comps, red, red_per_comp, classes)
+
+
+def red_subgraph(spec: FoliationSpec) -> tuple[Graph, list[Graph]]:
+    """Red vertices and red edges, and the red part of each cut-component."""
+    ctx = _analyze(spec)
+    return ctx.red, ctx.red_per_comp
+
+
+def classify_restrictions(spec: FoliationSpec) -> dict:
+    """iso / not-iso per cut-graph incidence, derived from orders and tdims."""
+    return _analyze(spec).classes
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +333,28 @@ def _paths_from(comp: Graph, start: str):
     return out
 
 
-def _classify_path(spec: FoliationSpec, classes: dict, path: list):
+def _classify_path(ctx: _Analysis, path: list):
     """Match a path against the four forbidden geodesic shapes (or None)."""
+    red_vs, classes = ctx.red.vertices, ctx.classes
     verts = path[0::2]
     edges = path[1::2]
-    if len(verts) < 2 or not spec.is_red_vertex(verts[0]):
+    if len(verts) < 2 or verts[0] not in red_vs:
         return None
     if len(verts) == 2:
         v0, v1 = verts
         e0 = edges[0]
-        if spec.is_red_vertex(v1):
-            if not spec.is_red_edge(e0):
+        if v1 in red_vs:
+            if e0 not in ctx.red.edges:
                 return 4
             return None
         if classes[(v1, e0)] == "not-iso":
             return 2  # the red side is never an isomorphism into a green edge
         return None
     interior = verts[1:-1]
-    if any(spec.is_red_vertex(v) for v in interior):
+    if any(v in red_vs for v in interior):
         return None
     last_v, prev_v, last_e = verts[-1], verts[-2], edges[-1]
-    if spec.is_red_vertex(last_v):
+    if last_v in red_vs:
         return 3
     if classes[(prev_v, last_e)] == "iso" and classes[(last_v, last_e)] == "not-iso":
         return 1
@@ -352,13 +368,15 @@ def _path_to_json(path: list) -> list:
 def scan_typed_geodesics(spec: FoliationSpec) -> list[dict]:
     """Exhaustive scan of every geodesic in every cut-component for the four
     forbidden shapes."""
-    _, comps = cut_graph(spec)
-    classes = classify_restrictions(spec)
+    return _scan(_analyze(spec))
+
+
+def _scan(ctx: _Analysis) -> list[dict]:
     found = []
-    for comp in comps:
+    for comp in ctx.comps:
         for start in comp.sorted_vertices():
             for path in _paths_from(comp, start):
-                t = _classify_path(spec, classes, path)
+                t = _classify_path(ctx, path)
                 if t is not None:
                     found.append({"type": t, "elements": _path_to_json(path)})
     found.sort(key=lambda w: (w["type"], json.dumps(w["elements"])))
@@ -416,23 +434,24 @@ def is_finite_type(spec: FoliationSpec) -> tuple[str, list[dict]]:
     component with empty red part needs a certificate vertex making the same
     condition hold along the order it induces.
     """
-    _require_valid(spec)
-    _, comps = cut_graph(spec)
-    classes = classify_restrictions(spec)
+    return _is_finite_type(_analyze(spec))
+
+
+def _is_finite_type(ctx: _Analysis) -> tuple[str, list[dict]]:
+    spec = ctx.spec
     reports = []
     all_ok = True
-    for comp in comps:
-        red_vs = frozenset(v for v in comp.vertices if spec.is_red_vertex(v))
-        red_es = frozenset(e for e in comp.edges if spec.is_red_edge(e))
+    for comp, red in zip(ctx.comps, ctx.red_per_comp):
+        red_vs = red.vertices
         entry = {
             "component": comp.to_json(),
-            "red": Graph(red_vs, red_es).to_json(),
+            "red": red.to_json(),
             "status": "ok",
             "certificate_vertex": None,
             "witnesses": [],
         }
         if red_vs:
-            red_comps = connected_components(Graph(red_vs, red_es))
+            red_comps = connected_components(red)
             if len(red_comps) > 1:
                 entry["status"] = "fail"
                 entry["witnesses"].append(_disconnection_witness(spec, comp, red_comps))
@@ -448,7 +467,7 @@ def is_finite_type(spec: FoliationSpec) -> tuple[str, list[dict]]:
                     entry["status"] = "fail"
                     for v in failures:
                         entry["witnesses"].append(
-                            _repulsivity_witness(spec, classes, comp, red_vs, v)
+                            _repulsivity_witness(ctx, comp, red_vs, v)
                         )
         else:
             cert = None
@@ -502,16 +521,16 @@ def _disconnection_witness(spec: FoliationSpec, comp: Graph, red_comps) -> dict:
     return {"type": t, "elements": _path_to_json(best)}
 
 
-def _repulsivity_witness(spec, classes, comp: Graph, red_vs: frozenset, bad_vertex: str) -> dict:
+def _repulsivity_witness(ctx: _Analysis, comp: Graph, red_vs: frozenset, bad_vertex: str) -> dict:
     """Typed witness for a failing outward condition: the geodesic read from
     the red part toward the failing vertex, when it matches a listed shape;
     otherwise any typed geodesic found by the global scan, else untyped."""
     gpath = _tree_path(comp, bad_vertex, _nearest_red(comp, red_vs, bad_vertex))
     path = list(reversed(gpath))  # red end first
-    t = _classify_path(spec, classes, path)
+    t = _classify_path(ctx, path)
     if t is not None:
         return {"type": t, "elements": _path_to_json(path)}
-    for w in scan_typed_geodesics(spec):
+    for w in _scan(ctx):
         return w
     return {"type": "untyped", "reason": "generation-failure", "elements": _path_to_json(path)}
 
@@ -532,25 +551,27 @@ def _nearest_red(comp: Graph, red_vs: frozenset, v: str) -> str:
 
 def entirely_green_check(spec: FoliationSpec) -> list[list[str]]:
     """Cut-components with no red element at all."""
-    _, comps = cut_graph(spec)
-    out = []
-    for comp in comps:
-        if not any(spec.is_red_vertex(v) for v in comp.vertices) and not any(
-            spec.is_red_edge(e) for e in comp.edges
-        ):
-            out.append(comp.sorted_vertices())
-    return out
+    return _entirely_green(_analyze(spec))
+
+
+def _entirely_green(ctx: _Analysis) -> list[list[str]]:
+    return [
+        comp.sorted_vertices()
+        for comp, red in zip(ctx.comps, ctx.red_per_comp)
+        if not red.vertices and not red.edges
+    ]
 
 
 def characterization_crosscheck(spec: FoliationSpec) -> bool:
     """Whether the finite-type verdict agrees with the exhaustive scan for
     the four forbidden geodesic shapes.  Requires no entirely-green
     cut-component."""
-    greens = entirely_green_check(spec)
+    ctx = _analyze(spec)
+    greens = _entirely_green(ctx)
     if greens:
         raise HypothesisViolated("entirely green cut-components present", greens)
-    verdict, _ = is_finite_type(spec)
-    witnesses = scan_typed_geodesics(spec)
+    verdict, _ = _is_finite_type(ctx)
+    witnesses = _scan(ctx)
     if verdict == "finite":
         return not witnesses
     return bool(witnesses)
@@ -564,8 +585,11 @@ def build_tf_red(spec: FoliationSpec) -> GroupGraph:
     """The rational vector-space graph over the red subgraph: tdims as
     dimensions, identity restrictions exactly where orders make the
     restriction an isomorphism."""
-    _require_valid(spec)
-    red, _ = red_subgraph(spec)
+    return _build_tf_red(_analyze(spec))
+
+
+def _build_tf_red(ctx: _Analysis) -> GroupGraph:
+    spec, red = ctx.spec, ctx.red
     vobj = {v: VectorSpace(spec.vertex_tdim[v]) for v in red.vertices}
     eobj = {e: VectorSpace(spec.edge_tdim[e]) for e in red.edges}
     restrictions = {}
@@ -649,17 +673,15 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
     """Full analysis: verdict, and the moduli dimension computed three ways
     (active edges, cochain rank, contracted-graph cycle rank) with exact
     agreement asserted."""
-    _require_valid(spec)
-    _, comps = cut_graph(spec)
-    red, red_per_comp = red_subgraph(spec)
-    verdict, comp_reports = is_finite_type(spec)
-    greens = entirely_green_check(spec)
-    tf = build_tf_red(spec)
+    ctx = _analyze(spec)
+    verdict, comp_reports = _is_finite_type(ctx)
+    greens = _entirely_green(ctx)
+    tf = _build_tf_red(ctx)
 
     if greens:
         characterization = {"status": "hypothesis-violated", "consistent": None}
     else:
-        witnesses = scan_typed_geodesics(spec)
+        witnesses = _scan(ctx)
         consistent = (not witnesses) if verdict == "finite" else bool(witnesses)
         characterization = {"status": "ok", "consistent": consistent}
 
@@ -667,7 +689,7 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
     if verdict == "finite":
         st = build_active_structure(tf)
         dim_active = 0
-        for comp_vs, comp_es in connected_components(red):
+        for comp_vs, comp_es in connected_components(ctx.red):
             comp_graph = Graph(frozenset(comp_vs), frozenset(comp_es))
             _, res = regular_h1(restrict(tf, comp_graph), crosscheck=False)
             dim_active += res.dim
@@ -687,9 +709,9 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
         basis = []
 
     return ModuliReport(
-        cut_components=[c.to_json() for c in comps],
-        red_subgraph_json=red.to_json(),
-        red_components=[c.to_json() for c in red_per_comp],
+        cut_components=[c.to_json() for c in ctx.comps],
+        red_subgraph_json=ctx.red.to_json(),
+        red_components=[c.to_json() for c in ctx.red_per_comp],
         finite_type=verdict,
         component_reports=comp_reports,
         entirely_green=greens,

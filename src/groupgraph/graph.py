@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 Edge = tuple[str, str]
 
@@ -87,14 +88,19 @@ class Graph:
     def incident_edges(self, v: str) -> list[Edge]:
         return [e for e in self.sorted_edges() if v in e]
 
-    def neighbors(self, v: str) -> list[str]:
-        out = []
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        # Built on first use and stored in the instance __dict__, which the
+        # frozen dataclass allows; __eq__ and __hash__ see only the fields.
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+            adj[a].append(b)
+            adj[b].append(a)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    def neighbors(self, v: str) -> tuple[str, ...]:
+        """Sorted neighbours of v; empty for a vertex outside the graph."""
+        return self._adjacency.get(v, ())
 
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices

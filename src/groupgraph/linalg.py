@@ -140,10 +140,6 @@ def in_span(vectors: list[Vector], v: Vector) -> bool:
     return solve(cols, v, len(vectors)) is not None
 
 
-def is_invertible(m: Matrix, nrows: int, ncols: int) -> bool:
-    return nrows == ncols and rank(m) == nrows
-
-
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
     aug = [row[:] + identity(n)[i] for i, row in enumerate(m)]
@@ -161,21 +157,16 @@ def row_space_basis(m: Matrix) -> list[Vector]:
 def extend_to_basis(vectors: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing `vectors` to a basis of Q^dim.
 
-    Greedy in coordinate order, so deterministic.
+    The choice is the greedy one in coordinate order (add e_i when it raises
+    the rank), computed from a single rref.  Greedy skips e_i exactly when
+    some vector of span(vectors) has its last nonzero entry at i.  Reversing
+    the columns turns last nonzero entries into first ones, and the first
+    nonzero positions of a subspace are the pivot columns of its rref, so the
+    chosen indices are the complement of {dim - 1 - p} over those pivots p.
     """
-    rows = [v[:] for v in vectors]
-    current = rank(rows)
-    chosen = []
-    for i in range(dim):
-        e = [Fraction(1 if j == i else 0) for j in range(dim)]
-        cand = rows + [e]
-        if rank(cand) > current:
-            rows = cand
-            current += 1
-            chosen.append(i)
-        if current == dim:
-            break
-    return chosen
+    _, pivots = rref([v[::-1] for v in vectors])
+    spanned = {dim - 1 - p for p in pivots}
+    return [i for i in range(dim) if i not in spanned]
 
 
 def quotient_map(sub_basis: list[Vector], dim: int) -> Matrix:

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+from groupgraph import cli, foliation
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -177,8 +180,43 @@ def test_selfcheck_is_byte_identical_across_runs():
 
 
 def test_analyze_byte_identical_across_runs():
-    args = ("analyze", "--input", str(FIXTURES / "type4_two_reds.json"))
-    assert run_cli(*args).stdout == run_cli(*args).stdout
+    # frozenset iteration order changes with the hash seed; the report must not
+    for name in ("type4_two_reds", "active_red_segment"):
+        expected = (FIXTURES / f"{name}.report.json").read_text()
+        for hash_seed in ("0", "1", "2"):
+            r = subprocess.run(
+                [sys.executable, "-m", "groupgraph.cli", "analyze",
+                 "--input", str(FIXTURES / f"{name}.json")],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            )
+            assert r.returncode == 0, r.stderr
+            assert r.stdout == expected, f"{name} under PYTHONHASHSEED={hash_seed}"
+
+
+def test_analyze_validates_and_cuts_once(monkeypatch, tmp_path):
+    calls = {"validate": 0, "cut_graph": 0}
+
+    def counting(name):
+        real = getattr(foliation, name)
+
+        def wrapper(spec):
+            calls[name] += 1
+            return real(spec)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(foliation, name, counting(name))
+    for name in ("type4_two_reds", "active_red_segment"):
+        calls.update(validate=0, cut_graph=0)
+        out = tmp_path / f"{name}.out.json"
+        code = cli.main(["analyze", "--input", str(FIXTURES / f"{name}.json"),
+                         "--output", str(out)])
+        assert code == 0
+        assert out.read_text() == (FIXTURES / f"{name}.report.json").read_text()
+        # the CLI validates before analyzing; the analysis validates once more
+        assert calls["validate"] <= 2, (name, calls)
+        assert calls["cut_graph"] == 1, (name, calls)
 
 
 def test_emitted_group_graph_json_reparses(tmp_path):

@@ -214,6 +214,18 @@ def test_connected_components():
     assert comps[0][0] == ["a", "b", "c"] and comps[1][0] == ["z"]
 
 
+def test_neighbors_built_once_and_invisible_to_equality():
+    g = Graph.make("abcz", [("c", "a"), ("b", "a")])
+    fresh = Graph.make("abcz", [("a", "b"), ("a", "c")])
+    assert g.neighbors("a") == ("b", "c")
+    assert g.neighbors("b") == ("a",)
+    assert g.neighbors("z") == () and g.neighbors("missing") == ()
+    assert g.neighbors("a") is g.neighbors("a")  # one adjacency per graph
+    # the cached adjacency is not a field: equality and hashing ignore it
+    assert g == fresh and hash(g) == hash(fresh) and len({g, fresh}) == 1
+    assert Graph.make("ab", [("a", "b")]) != Graph.make("ab", [])
+
+
 # --- morphisms and serialization ---------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from groupgraph import linalg
@@ -51,6 +52,60 @@ def test_quotient_map_kills_exactly_the_subspace():
 def test_extend_to_basis_is_deterministic():
     got = linalg.extend_to_basis([[F(1), F(1), F(0)]], 3)
     assert got == [0, 2]  # e0 raises the rank, e1 does not after e0, e2 does
+
+
+def greedy_extend_to_basis(vectors, dim):
+    """Slow oracle: add e_i, in coordinate order, whenever it raises the rank."""
+    rows = [v[:] for v in vectors]
+    current = linalg.rank(rows)
+    chosen = []
+    for i in range(dim):
+        e = [Fraction(1 if j == i else 0) for j in range(dim)]
+        cand = rows + [e]
+        if linalg.rank(cand) > current:
+            rows = cand
+            current += 1
+            chosen.append(i)
+        if current == dim:
+            break
+    return chosen
+
+
+def random_vectors(rng, dim):
+    """Sparse rational vectors, with zero vectors and combinations of earlier ones."""
+    vectors = []
+    for _ in range(rng.randint(0, dim + 2)):
+        kind = rng.random()
+        if kind < 0.1:
+            v = [F(0)] * dim
+        elif kind < 0.35 and vectors:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            v = [x + c * y for x, y in zip(a, b)]
+        else:
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0)
+                 for _ in range(dim)]
+        vectors.append(v)
+    return vectors
+
+
+def test_extend_to_basis_matches_greedy_oracle():
+    rng = random.Random(20211005)
+    cases = [([], 0), ([], 1), ([[F(0)]], 1), ([[F(2)]], 1), ([[F(0), F(0)]], 2),
+             (linalg.identity(4), 4), ([[F(1), F(2), F(3)], [F(2), F(4), F(6)]], 3)]
+    cases += [(random_vectors(rng, dim), dim) for dim in (0, 1) for _ in range(20)]
+    cases += [(random_vectors(rng, dim), dim) for _ in range(300)
+              for dim in [rng.randint(2, 7)]]
+    # full rank: the span is all of Q^dim and nothing is added
+    cases += [(linalg.mat([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]), d)
+              for d in (2, 3, 4) for _ in range(20)]
+    full_rank = 0
+    for vectors, dim in cases:
+        got = linalg.extend_to_basis(vectors, dim)
+        assert got == greedy_extend_to_basis(vectors, dim), (vectors, dim)
+        assert linalg.rank(vectors) + len(got) == dim
+        full_rank += dim > 0 and got == []
+    assert full_rank > 10
 
 
 def test_kron_shapes():
