@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -308,90 +309,97 @@ def h1_class_coordinates(result: CohomologyResult, z: Cocycle1) -> list[Fraction
     return sol[: len(basis_vecs)]
 
 
-def _enumerate_z1(g: GroupGraph, budget: int):
-    edges = g.base.sorted_edges()
-    size = 1
-    for e in edges:
-        size *= g.eobj[e].order
-    if size > budget:
-        raise BudgetExceeded(
-            f"Z1 enumeration of {size} cocycles exceeds budget {budget}",
-            {"candidates": size, "budget": budget},
-        )
-    return [t for t in itertools.product(*(range(g.eobj[e].order) for e in edges))]
+def _orbits(g: GroupGraph, budget: int, witnesses: bool = False):
+    """Partition Z1 (as tail tuples) into orbits of the vertex-family action.
 
+    Both budgets are checked from their product sizes before any tuple is
+    built.  Z1 is walked lazily in `itertools.product` order, which is
+    lexicographic, so the first unseen tuple of an orbit is its minimum: it is
+    the representative, the trivial tuple is class 0, and representatives
+    arrive sorted.  Each orbit is explored from it with single-vertex moves
+    (v, x), which generate the acting group, in a LIFO queue.  A move is
+    compiled once into (edge index, permutation of G_e) over the edges at v:
+    t -> rho_v(x)^-1 t where v is the tail, t -> t rho_v(x) where v is the head.
 
-def _act_tail(g: GroupGraph, fam: dict, tail: tuple) -> tuple:
-    """Action of a vertex family on a tail tuple, without building objects."""
-    out = []
-    for idx, e in enumerate(g.base.sorted_edges()):
-        a, b = e
-        grp = g.eobj[e]
-        ra = g.restriction(a, e).apply(fam[a])
-        rb = g.restriction(b, e).apply(fam[b])
-        out.append(grp.mul(grp.mul(grp.inv(ra), tail[idx]), rb))
-    return tuple(out)
-
-
-def h1_finite_bruteforce(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
-    """Enumerate Z1 and partition into orbits of the vertex-family action.
-
-    Orbits are explored with single-vertex families (they generate the acting
-    group); representatives are the minimal tuples in a fixed total order and
-    the privileged class comes first.
+    Returns (representatives, class index of every tuple, witness); with
+    `witnesses`, witness[t] is a family over the sorted vertices sending the
+    representative of t's orbit to t, else witness is None.
     """
-    if g.carrier != "finite":
-        raise GroupGraphError("h1_finite_bruteforce requires the finite carrier")
-    all_tails = _enumerate_z1(g, budget)
+    edges = g.base.sorted_edges()
     vs = g.base.sorted_vertices()
-    c0_size = 1
-    for v in vs:
-        c0_size *= g.vobj[v].order
+    z1_size = math.prod(g.eobj[e].order for e in edges)
+    if z1_size > budget:
+        raise BudgetExceeded(
+            f"Z1 enumeration of {z1_size} cocycles exceeds budget {budget}",
+            {"candidates": z1_size, "budget": budget},
+        )
+    c0_size = math.prod(g.vobj[v].order for v in vs)
     if c0_size > budget:
         raise BudgetExceeded(
             f"C0 of size {c0_size} exceeds budget {budget}",
             {"candidates": c0_size, "budget": budget},
         )
-    identity_fam = {v: 0 for v in vs}
-    single_moves = []
-    for v in vs:
-        for x in range(1, g.vobj[v].order):
-            fam = dict(identity_fam)
-            fam[v] = x
-            single_moves.append(fam)
+    moves = []
+    for vi, v in enumerate(vs):
+        table = g.vobj[v].table
+        incident = [(i, e) for i, e in enumerate(edges) if v in e]
+        for x in range(1, len(table)):
+            patches = []
+            for i, e in incident:
+                grp = g.eobj[e]
+                r = g.restriction(v, e).apply(x)
+                if r == 0:
+                    continue  # the identity permutation
+                if v == e[0]:
+                    patches.append((i, grp.table[grp.inv(r)]))
+                else:
+                    patches.append((i, tuple(row[r] for row in grp.table)))
+            if patches:  # a move that fixes every tuple finds nothing new
+                moves.append((vi, tuple(row[x] for row in table), patches))
 
     seen: dict[tuple, int] = {}
-    orbits: list[list[tuple]] = []
-    for start in all_tails:
+    reps: list[tuple] = []
+    witness: dict[tuple, tuple] | None = {} if witnesses else None
+    for start in itertools.product(*(range(g.eobj[e].order) for e in edges)):
         if start in seen:
             continue
-        cls = len(orbits)
-        queue = [start]
+        cls = len(reps)
+        reps.append(start)
         seen[start] = cls
-        members = [start]
+        if witness is not None:
+            witness[start] = (0,) * len(vs)
+        queue = [start]
         while queue:
             cur = queue.pop()
-            for fam in single_moves:
-                nxt = _act_tail(g, fam, cur)
+            for vi, right_mul, patches in moves:
+                nxt = list(cur)
+                for i, perm in patches:
+                    nxt[i] = perm[cur[i]]
+                nxt = tuple(nxt)
                 if nxt not in seen:
                     seen[nxt] = cls
-                    members.append(nxt)
                     queue.append(nxt)
-        orbits.append(members)
+                    if witness is not None:
+                        # acting by c, then by the move, is acting by c * move
+                        fam = list(witness[cur])
+                        fam[vi] = right_mul[fam[vi]]
+                        witness[nxt] = tuple(fam)
+    return reps, seen, witness
 
-    reps = [min(members) for members in orbits]
-    trivial = tuple(0 for _ in g.base.sorted_edges())
-    order = sorted(range(len(reps)), key=lambda i: (reps[i] != reps[seen[trivial]], reps[i]))
-    reps_sorted = [reps[i] for i in order]
-    renum = {old: new for new, old in enumerate(order)}
-    class_index = {t: renum[c] for t, c in seen.items()}
 
+def h1_finite_bruteforce(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
+    """Enumerate Z1 and partition into orbits of the vertex-family action.
+
+    Representatives are the orbit minima in the lexicographic order of tail
+    tuples, so the privileged class comes first.
+    """
+    if g.carrier != "finite":
+        raise GroupGraphError("h1_finite_bruteforce requires the finite carrier")
+    reps, class_index, _ = _orbits(g, budget)
     edges = g.base.sorted_edges()
-    rep_cocycles = [
-        Cocycle1.from_tail_values(g, dict(zip(edges, rep))) for rep in reps_sorted
-    ]
+    rep_cocycles = [Cocycle1.from_tail_values(g, dict(zip(edges, rep))) for rep in reps]
     return CohomologyResult(
-        "h1", "finite", count=len(orbits), representatives=rep_cocycles,
+        "h1", "finite", count=len(reps), representatives=rep_cocycles,
         _graph=g, _class_index=class_index,
     )
 

@@ -165,7 +165,7 @@ class GraphMorphism:
         return GraphMorphism(source, target, tuple(sorted(vertex_map.items())))
 
     def __post_init__(self):
-        vm = dict(self.vertex_map)
+        vm = self._vertex_dict
         if set(vm) != set(self.source.vertices):
             raise GraphError("vertex_map domain is not the source vertex set")
         for v, w in vm.items():
@@ -176,14 +176,18 @@ class GraphMorphism:
             if fa != fb and edge(fa, fb) not in self.target.edges:
                 raise GraphError(f"edge {(a, b)} maps to the non-edge {(fa, fb)}")
 
+    @cached_property
+    def _vertex_dict(self) -> dict[str, str]:
+        # Built once, like Graph._adjacency; __eq__ and __hash__ see only the fields.
+        return dict(self.vertex_map)
+
     def apply(self, v: str) -> str:
-        return dict(self.vertex_map)[v]
+        return self._vertex_dict[v]
 
     def apply_edge(self, e: Edge):
         """Image of an edge: a target Edge, or a vertex string when collapsed."""
-        vm = dict(self.vertex_map)
-        fa, fb = vm[e[0]], vm[e[1]]
-        return vm[e[0]] if fa == fb else edge(fa, fb)
+        fa, fb = self._vertex_dict[e[0]], self._vertex_dict[e[1]]
+        return fa if fa == fb else edge(fa, fb)
 
     def collapses(self, e: Edge) -> bool:
         return isinstance(self.apply_edge(e), str)

@@ -15,6 +15,7 @@ from .cohomology import (
     Cocycle1,
     CohomologyResult,
     DEFAULT_ENUM_BUDGET,
+    _orbits,
     coboundary_action,
     h1_auto,
     h1_class_coordinates,
@@ -116,37 +117,12 @@ def pruning_verify(g: GroupGraph, r, budget: int = DEFAULT_ENUM_BUDGET):
 def _orbit_witnesses(g: GroupGraph, budget: int):
     """Orbit partition of Z1 with, per tail tuple, a vertex family sending the
     orbit representative to that tuple (finite carrier)."""
-    from .cohomology import _act_tail, _enumerate_z1
-
-    all_tails = _enumerate_z1(g, budget)
+    reps, class_index, witness = _orbits(g, budget, witnesses=True)
     vs = g.base.sorted_vertices()
-    moves = []
-    for v in vs:
-        for x in range(1, g.vobj[v].order):
-            moves.append((v, x))
-    witness: dict[tuple, dict] = {}
-    class_rep: dict[tuple, tuple] = {}
-    for start in sorted(all_tails):
-        if start in witness:
-            continue
-        witness[start] = {v: 0 for v in vs}
-        class_rep[start] = start
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for v, x in moves:
-                fam = {u: 0 for u in vs}
-                fam[v] = x
-                nxt = _act_tail(g, fam, cur)
-                if nxt not in witness:
-                    # acting by c then by the single move is acting by the product
-                    prev = witness[cur]
-                    witness[nxt] = {
-                        u: g.vobj[u].mul(prev[u], fam[u]) for u in vs
-                    }
-                    class_rep[nxt] = class_rep[start]
-                    queue.append(nxt)
-    return witness, class_rep
+    return (
+        {t: dict(zip(vs, fam)) for t, fam in witness.items()},
+        {t: reps[c] for t, c in class_index.items()},
+    )
 
 
 def _min_preimage(data, value, domain=None) -> int:
@@ -275,21 +251,17 @@ def quotient_iso_verify(
     if require_tree:
         qw = _orbit_witnesses(quo, budget)
         src = mp.source_result
-        by_class: dict[int, list[tuple]] = {}
-        for t, c in src._class_index.items():
-            by_class.setdefault(c, []).append(t)
         edges = g.base.sorted_edges()
-        for c, members in sorted(by_class.items()):
-            rep = src.representatives[c]
-            for t in sorted(members):
-                if lift_pairs_cap is not None and lifted >= lift_pairs_cap:
-                    break
-                other = Cocycle1.from_tail_values(g, dict(zip(edges, t)))
-                try:
-                    quotient_lift(g, k, proj, rep, other, qw)
-                    lifted += 1
-                except VerificationError as exc:
-                    failures.append((c, t, str(exc)))
+        # every cocycle against its class representative, class by class
+        for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
+            if lift_pairs_cap is not None and lifted >= lift_pairs_cap:
+                break
+            other = Cocycle1.from_tail_values(g, dict(zip(edges, t)))
+            try:
+                quotient_lift(g, k, proj, src.representatives[c], other, qw)
+                lifted += 1
+            except VerificationError as exc:
+                failures.append((c, t, str(exc)))
     return {
         "bijective": mp.is_bijective(),
         "source_count": mp.source_result.size(),

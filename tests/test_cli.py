@@ -174,9 +174,16 @@ def test_selfcheck_unexpected_failure_exits_five(monkeypatch, capsys):
 
 
 def test_selfcheck_is_byte_identical_across_runs():
-    a = run_cli("selfcheck", "--seed", "3", "--count", "2").stdout
-    b = run_cli("selfcheck", "--seed", "3", "--count", "2").stdout
-    assert a == b
+    # the generators iterate frozensets, whose order changes with the hash seed
+    expected = (FIXTURES / "selfcheck_s0_c10.json").read_text()
+    for hash_seed in ("0", "1", "2"):
+        r = subprocess.run(
+            [sys.executable, "-m", "groupgraph.cli", "selfcheck", "--seed", "0", "--count", "10"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == expected, f"selfcheck under PYTHONHASHSEED={hash_seed}"
 
 
 def test_analyze_byte_identical_across_runs():

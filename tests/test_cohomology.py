@@ -6,14 +6,23 @@ import pytest
 
 from conftest import finite_gg, vector_gg
 from groupgraph import linalg
+from groupgraph.generators import (
+    automorphisms_of,
+    group_pool,
+    random_exact_sequence,
+    random_regular_finite,
+)
 from groupgraph.graph import Graph, GraphMorphism
 from groupgraph.group_graph import (
+    BudgetExceeded,
     GroupGraphError,
     GroupGraphMorphism,
     GroupHom,
     constant_group_graph,
     cyclic_group,
+    dihedral_group,
     pullback,
+    quotient_with_projection,
     remove_offsupport_edges,
     trivial_group,
     trivial_group_graph,
@@ -29,6 +38,7 @@ from groupgraph.cohomology import (
     h1_vector,
     push_cocycle,
 )
+from groupgraph.theorems import _orbit_witnesses
 
 
 def seg_gg_finite(va, vb, e, hom_a=None, hom_b=None):
@@ -184,6 +194,23 @@ def test_privileged_class_first():
     assert h1_class_of(res, z) == 0
 
 
+def test_budgets_checked_before_any_cocycle_is_enumerated(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("Z1 enumerated before both budgets were checked")
+
+    monkeypatch.setattr(itertools, "product", no_enumeration)
+    z8 = cyclic_group(8)
+    small_z1 = seg_gg_finite(z8, z8, trivial_group())  # |Z1| = 1, |C0| = 64
+    with pytest.raises(BudgetExceeded, match="C0 of size 64") as exc:
+        h1_finite_bruteforce(small_z1, budget=10)
+    assert exc.value.sizes == {"candidates": 64, "budget": 10}
+    both_over = seg_gg_finite(z8, z8, cyclic_group(16))  # |Z1| = 16, |C0| = 64
+    with pytest.raises(BudgetExceeded, match="Z1 enumeration of 16 cocycles"):
+        h1_finite_bruteforce(both_over, budget=10)
+    with pytest.raises(BudgetExceeded, match="C0 of size 64"):
+        _orbit_witnesses(small_z1, 10)
+
+
 def test_abelian_count_is_z1_over_image():
     rng = random.Random(5)
     for _ in range(12):
@@ -307,6 +334,162 @@ def test_coboundary_squared_is_zero():
             a, b = e
             total = linalg.vec_add(z.values[(a, e)], z.values[(b, e)])
             assert all(x == 0 for x in total)
+
+
+# --- H1, finite: the orbit enumerator against the slow oracle ------------------------
+
+
+def _act_tail(g, fam, tail):
+    """Action of a vertex family on a tail tuple, every edge rebuilt."""
+    out = []
+    for idx, e in enumerate(g.base.sorted_edges()):
+        a, b = e
+        grp = g.eobj[e]
+        ra = g.restriction(a, e).apply(fam[a])
+        rb = g.restriction(b, e).apply(fam[b])
+        out.append(grp.mul(grp.mul(grp.inv(ra), tail[idx]), rb))
+    return tuple(out)
+
+
+def _single_moves(g):
+    vs = g.base.sorted_vertices()
+    for v in vs:
+        for x in range(1, g.vobj[v].order):
+            fam = {u: 0 for u in vs}
+            fam[v] = x
+            yield fam
+
+
+def oracle_h1(g):
+    """The slow orbit search: materialize Z1, collect each orbit's members,
+    take their minima and renumber with the privileged class first.
+    Returns (representative tuples, class index)."""
+    edges = g.base.sorted_edges()
+    all_tails = list(itertools.product(*(range(g.eobj[e].order) for e in edges)))
+    moves = list(_single_moves(g))
+    seen = {}
+    orbits = []
+    for start in all_tails:
+        if start in seen:
+            continue
+        cls = len(orbits)
+        queue = [start]
+        seen[start] = cls
+        members = [start]
+        while queue:
+            cur = queue.pop()
+            for fam in moves:
+                nxt = _act_tail(g, fam, cur)
+                if nxt not in seen:
+                    seen[nxt] = cls
+                    members.append(nxt)
+                    queue.append(nxt)
+        orbits.append(members)
+    reps = [min(members) for members in orbits]
+    trivial = tuple(0 for _ in edges)
+    order = sorted(range(len(reps)), key=lambda i: (reps[i] != reps[seen[trivial]], reps[i]))
+    renum = {old: new for new, old in enumerate(order)}
+    return [reps[i] for i in order], {t: renum[c] for t, c in seen.items()}
+
+
+def oracle_witnesses(g):
+    """The slow orbit search over sorted Z1, recording per tuple a vertex
+    family that sends the orbit's first tuple to it.  Returns (witness, class_rep)."""
+    edges = g.base.sorted_edges()
+    vs = g.base.sorted_vertices()
+    all_tails = list(itertools.product(*(range(g.eobj[e].order) for e in edges)))
+    witness, class_rep = {}, {}
+    for start in sorted(all_tails):
+        if start in witness:
+            continue
+        witness[start] = {v: 0 for v in vs}
+        class_rep[start] = start
+        queue = [start]
+        while queue:
+            cur = queue.pop()
+            for fam in _single_moves(g):
+                nxt = _act_tail(g, fam, cur)
+                if nxt not in witness:
+                    prev = witness[cur]
+                    witness[nxt] = {u: g.vobj[u].mul(prev[u], fam[u]) for u in vs}
+                    class_rep[nxt] = class_rep[start]
+                    queue.append(nxt)
+    return witness, class_rep
+
+
+def _dihedral_star(rng):
+    """A D3 or D4 centre with leaves over dihedral, sign (Z2) or trivial edges."""
+    n = rng.choice([3, 4])
+    grp, z2 = dihedral_group(n), cyclic_group(2)
+    auts = automorphisms_of(f"D{n}", grp)
+    sign = tuple(x // n for x in range(2 * n))
+    leaves = [f"l{i}" for i in range(rng.randint(2, 3 if n == 3 else 2))]
+    vgroups, egroups, homs = {"c": grp}, {}, {}
+    for leaf in leaves:
+        e = ("c", leaf)
+        kind = rng.choice(["dihedral", "dihedral", "sign", "trivial"])
+        if kind == "dihedral":
+            egroups[e] = grp
+            homs[("c", e)] = rng.choice(auts)
+            vgroups[leaf] = rng.choice([grp, trivial_group()])
+            if vgroups[leaf] is grp:
+                homs[(leaf, e)] = rng.choice(auts)
+        elif kind == "sign":
+            egroups[e] = z2
+            homs[("c", e)] = sign
+            vgroups[leaf] = rng.choice([grp, z2, trivial_group()])
+            if vgroups[leaf] is grp:
+                homs[(leaf, e)] = sign
+        else:
+            egroups[e] = trivial_group()
+            vgroups[leaf] = rng.choice([grp, z2, trivial_group()])
+    return finite_gg(["c", *leaves], list(egroups), vgroups, egroups, homs)
+
+
+def _one_cycle(rng):
+    """A triangle or square, one small group everywhere, automorphism or
+    trivial restrictions."""
+    name, grp = rng.choice([p for p in group_pool() if p[1].order <= 4])
+    auts = automorphisms_of(name, grp)
+    n = rng.choice([3, 4])
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    g = Graph.make(names, edges)
+    homs = {
+        (v, e): rng.choice(auts) if rng.random() < 0.8 else (0,) * grp.order
+        for v, e in g.incidences()
+    }
+    return finite_gg(names, edges, {v: grp for v in names}, {e: grp for e in g.edges}, homs)
+
+
+def _oracle_instances():
+    for seed in range(100):
+        yield random_regular_finite(random.Random(seed), max_vertices=4, max_order=6)
+    for seed in range(70):
+        g, k = random_exact_sequence(random.Random(seed), max_vertices=3, good=seed % 3 > 0)
+        yield g
+        if seed % 3 > 0:
+            yield quotient_with_projection(g, k)[0]
+    for seed in range(50):
+        yield _dihedral_star(random.Random(1000 + seed))
+    for seed in range(50):
+        yield _one_cycle(random.Random(2000 + seed))
+
+
+def test_orbit_enumerator_matches_slow_oracle():
+    checked = 0
+    for gg in _oracle_instances():
+        reps, class_index = oracle_h1(gg)
+        res = h1_finite_bruteforce(gg)
+        assert res.count == len(reps)
+        assert [r.tail_tuple() for r in res.representatives] == reps
+        assert list(res._class_index.items()) == list(class_index.items())
+        witness, class_rep = _orbit_witnesses(gg, 10**6)
+        assert (witness, class_rep) == oracle_witnesses(gg)
+        for t, fam in witness.items():
+            assert _act_tail(gg, fam, class_rep[t]) == t
+        checked += 1
+    assert checked >= 300
 
 
 # --- induced maps ---------------------------------------------------------------------

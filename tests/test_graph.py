@@ -239,6 +239,20 @@ def test_morphism_validation():
         GraphMorphism.make(src, far, {"a": "x", "b": "z"})  # image not an edge
 
 
+def test_morphism_vertex_dict_built_once_and_invisible_to_equality():
+    src = path_graph("a", "b", "c")
+    tgt = path_graph("x", "y")
+    m = GraphMorphism.make(src, tgt, {"a": "x", "b": "y", "c": "y"})
+    fresh = GraphMorphism.make(src, tgt, {"c": "y", "b": "y", "a": "x"})
+    assert m.apply("a") == "x" and m.apply("c") == "y"
+    assert m.apply_edge(("a", "b")) == ("x", "y")
+    assert m.apply_edge(("b", "c")) == "y" and m.collapses(("b", "c"))
+    assert m._vertex_dict is m._vertex_dict  # one dict per morphism
+    # the cached dict is not a field: equality and hashing ignore it
+    assert m == fresh and hash(m) == hash(fresh) and len({m, fresh}) == 1
+    assert m != GraphMorphism.make(src, tgt, {"a": "y", "b": "x", "c": "x"})
+
+
 def test_geodesic_validation():
     Geodesic(("a", ("a", "b"), "b"))
     with pytest.raises(GraphError):
