@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import (
     Edge,
@@ -24,6 +25,7 @@ from .graph import (
     edge,
     edge_key,
     parse_edge_key,
+    path_to_root,
     validate_tree,
 )
 from .group_graph import GroupGraph, GroupHom, VectorSpace, is_regular
@@ -112,14 +114,14 @@ class FoliationSpec:
         except (KeyError, TypeError, GraphError) as exc:
             raise FoliationError(f"bad tree: {exc}") from exc
         vertex_kind, holonomy_finite, vertex_order, vertex_tdim, cs = {}, {}, {}, {}, {}
-        for v, entry in data.get("vertices", {}).items():
-            kind = entry.get("kind")
+        for v, entry in _object(data.get("vertices", {}), "vertices").items():
+            kind = _object(entry, f"vertex {v!r}").get("kind")
             if kind not in VERTEX_KINDS:
                 raise FoliationError(f"vertex {v!r} has unknown kind {kind!r}")
             vertex_kind[v] = kind
             hol = entry.get("holonomy")
             if hol is not None:
-                if hol.get("finite"):
+                if _object(hol, f"holonomy of vertex {v!r}").get("finite"):
                     holonomy_finite[v] = True
                     vertex_order[v] = hol.get("order")
                 else:
@@ -128,16 +130,16 @@ class FoliationSpec:
             if "cs_index" in entry:
                 cs[v] = entry["cs_index"]
         edge_kind, edge_holonomy, edge_tdim = {}, {}, {}
-        for key, entry in data.get("edges", {}).items():
+        for key, entry in _object(data.get("edges", {}), "edges").items():
             e = parse_edge_key(key)
-            kind = entry.get("kind")
+            kind = _object(entry, f"edge {key!r}").get("kind")
             if kind not in EDGE_KINDS:
                 raise FoliationError(f"edge {key!r} has unknown kind {kind!r}")
             edge_kind[e] = kind
             if "tdim" in entry:
                 edge_tdim[e] = entry["tdim"]
-            for v, inc in entry.get("holonomy", {}).items():
-                if inc.get("periodic"):
+            for v, inc in _object(entry.get("holonomy", {}), f"holonomy of edge {key!r}").items():
+                if _object(inc, f"holonomy of edge {key!r} at {v!r}").get("periodic"):
                     edge_holonomy[(v, e)] = {"periodic": True, "order": inc.get("order")}
                 else:
                     edge_holonomy[(v, e)] = {"periodic": False, "order": None}
@@ -148,6 +150,16 @@ class FoliationSpec:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FoliationError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +183,11 @@ def validate(spec: FoliationSpec) -> list[str]:
                 out.append(f"vertex {v}: invariant vertex needs holonomy data")
             elif spec.holonomy_finite[v]:
                 n = spec.vertex_order.get(v)
-                if not isinstance(n, int) or n < 1:
+                if not _is_int(n) or n < 1:
                     out.append(f"vertex {v}: finite holonomy needs a positive order")
             else:
                 t = spec.vertex_tdim.get(v)
-                if t not in (0, 1):
+                if not _is_int(t) or t not in (0, 1):
                     out.append(f"vertex {v}: infinite holonomy needs tdim 0 or 1")
         else:
             if v in spec.holonomy_finite:
@@ -205,9 +217,10 @@ def validate(spec: FoliationSpec) -> list[str]:
             inc = spec.incidence(v, e)
             if inc["periodic"]:
                 n = inc.get("order")
-                if not isinstance(n, int) or n < 1:
+                if not _is_int(n) or n < 1:
                     out.append(f"edge {key}: periodic holonomy at {v} needs a positive order")
-                elif spec.is_invariant(v) and spec.holonomy_finite.get(v) and spec.vertex_order[v] % n != 0:
+                elif (spec.is_invariant(v) and spec.holonomy_finite.get(v)
+                      and _is_int(spec.vertex_order[v]) and spec.vertex_order[v] % n != 0):
                     out.append(
                         f"edge {key}: order {n} at {v} does not divide the group order "
                         f"{spec.vertex_order[v]}"
@@ -222,11 +235,12 @@ def validate(spec: FoliationSpec) -> list[str]:
                 if not spec.is_red_vertex(v):
                     out.append(f"edge {key}: red edge with non-red endpoint {v}")
             t = spec.edge_tdim.get(e)
-            if t not in (0, 1):
+            if not _is_int(t) or t not in (0, 1):
                 out.append(f"edge {key}: red edge needs tdim 0 or 1")
             else:
                 for v in e:
-                    if spec.is_red_vertex(v) and spec.vertex_tdim.get(v, 0) > t:
+                    t_v = spec.vertex_tdim.get(v, 0)
+                    if spec.is_red_vertex(v) and _is_int(t_v) and t_v > t:
                         out.append(
                             f"edge {key}: tdim at {v} exceeds the edge tdim (restrictions inject)"
                         )
@@ -274,6 +288,12 @@ class _Analysis:
     red: Graph
     red_per_comp: list[Graph]
     classes: dict
+
+    @cached_property
+    def scan(self) -> list[dict]:
+        """The typed geodesics of every cut-component (see `_scan`), found
+        once per analysis, on first use, and shared by every reader."""
+        return _scan(self)
 
 
 def _analyze(spec: FoliationSpec) -> _Analysis:
@@ -368,7 +388,7 @@ def _path_to_json(path: list) -> list:
 def scan_typed_geodesics(spec: FoliationSpec) -> list[dict]:
     """Exhaustive scan of every geodesic in every cut-component for the four
     forbidden shapes."""
-    return _scan(_analyze(spec))
+    return _analyze(spec).scan
 
 
 def _scan(ctx: _Analysis) -> list[dict]:
@@ -385,45 +405,7 @@ def _scan(ctx: _Analysis) -> list[dict]:
 
 def _tree_path(comp: Graph, u: str, w: str) -> list:
     """The unique element path between two vertices of a tree component."""
-    prev = {u: None}
-    queue = [u]
-    while queue:
-        cur = queue.pop(0)
-        if cur == w:
-            break
-        for n in comp.neighbors(cur):
-            if n not in prev:
-                prev[n] = cur
-                queue.append(n)
-    path = [w]
-    cur = w
-    while prev[cur] is not None:
-        p = prev[cur]
-        path.append(edge(p, cur))
-        path.append(p)
-        cur = p
-    path.reverse()
-    return path
-
-
-def _first_edge_toward(comp: Graph, targets: frozenset, v: str) -> tuple[Edge, str]:
-    """First edge and next vertex on the geodesic from v to a vertex set."""
-    prev = {v: None}
-    queue = [v]
-    hit = None
-    while queue:
-        cur = queue.pop(0)
-        if cur in targets:
-            hit = cur
-            break
-        for n in comp.neighbors(cur):
-            if n not in prev:
-                prev[n] = cur
-                queue.append(n)
-    cur = hit
-    while prev[prev[cur]] is not None:
-        cur = prev[cur]
-    return edge(v, cur), cur
+    return path_to_root(comp.bfs([w]), u)
 
 
 def is_finite_type(spec: FoliationSpec) -> tuple[str, list[dict]]:
@@ -456,19 +438,18 @@ def _is_finite_type(ctx: _Analysis) -> tuple[str, list[dict]]:
                 entry["status"] = "fail"
                 entry["witnesses"].append(_disconnection_witness(spec, comp, red_comps))
             else:
-                failures = []
-                for v in comp.sorted_vertices():
-                    if v in red_vs:
-                        continue
-                    e, _ = _first_edge_toward(comp, red_vs, v)
-                    if spec.vertex_order[v] != spec.edge_holonomy[(v, e)]["order"]:
-                        failures.append(v)
+                # the red part is one subtree, so each green vertex has a
+                # unique nearest red vertex: its parent chain toward red
+                parent = comp.bfs(sorted(red_vs))
+                failures = [
+                    v for v in comp.sorted_vertices()
+                    if v not in red_vs
+                    and spec.vertex_order[v] != spec.edge_holonomy[(v, edge(v, parent[v]))]["order"]
+                ]
                 if failures:
                     entry["status"] = "fail"
                     for v in failures:
-                        entry["witnesses"].append(
-                            _repulsivity_witness(ctx, comp, red_vs, v)
-                        )
+                        entry["witnesses"].append(_repulsivity_witness(ctx, parent, v))
         else:
             cert = None
             for v in comp.sorted_vertices():
@@ -492,18 +473,11 @@ def _is_finite_type(ctx: _Analysis) -> tuple[str, list[dict]]:
 def _certifies(spec: FoliationSpec, comp: Graph, v: str) -> bool:
     """Rooted at v, every non-root vertex generates its group along the
     parent edge."""
-    prev = {v: None}
-    queue = [v]
-    while queue:
-        cur = queue.pop(0)
-        for n in comp.neighbors(cur):
-            if n not in prev:
-                prev[n] = cur
-                queue.append(n)
-                e = edge(cur, n)
-                if spec.vertex_order[n] != spec.edge_holonomy[(n, e)]["order"]:
-                    return False
-    return True
+    return all(
+        spec.vertex_order[n] == spec.edge_holonomy[(n, edge(p, n))]["order"]
+        for n, p in comp.bfs([v]).items()
+        if p is not None
+    )
 
 
 def _disconnection_witness(spec: FoliationSpec, comp: Graph, red_comps) -> dict:
@@ -521,32 +495,18 @@ def _disconnection_witness(spec: FoliationSpec, comp: Graph, red_comps) -> dict:
     return {"type": t, "elements": _path_to_json(best)}
 
 
-def _repulsivity_witness(ctx: _Analysis, comp: Graph, red_vs: frozenset, bad_vertex: str) -> dict:
+def _repulsivity_witness(ctx: _Analysis, parent: dict, bad_vertex: str) -> dict:
     """Typed witness for a failing outward condition: the geodesic read from
     the red part toward the failing vertex, when it matches a listed shape;
-    otherwise any typed geodesic found by the global scan, else untyped."""
-    gpath = _tree_path(comp, bad_vertex, _nearest_red(comp, red_vs, bad_vertex))
-    path = list(reversed(gpath))  # red end first
+    otherwise the first typed geodesic of the analysis's scan, else untyped.
+    `parent` is the component's parent map toward its red part."""
+    path = path_to_root(parent, bad_vertex)[::-1]  # red end first
     t = _classify_path(ctx, path)
     if t is not None:
         return {"type": t, "elements": _path_to_json(path)}
-    for w in _scan(ctx):
-        return w
+    if ctx.scan:
+        return ctx.scan[0]
     return {"type": "untyped", "reason": "generation-failure", "elements": _path_to_json(path)}
-
-
-def _nearest_red(comp: Graph, red_vs: frozenset, v: str) -> str:
-    prev = {v: None}
-    queue = [v]
-    while queue:
-        cur = queue.pop(0)
-        if cur in red_vs:
-            return cur
-        for n in comp.neighbors(cur):
-            if n not in prev:
-                prev[n] = cur
-                queue.append(n)
-    raise FoliationError("no red vertex reachable (internal error)")
 
 
 def entirely_green_check(spec: FoliationSpec) -> list[list[str]]:
@@ -571,10 +531,9 @@ def characterization_crosscheck(spec: FoliationSpec) -> bool:
     if greens:
         raise HypothesisViolated("entirely green cut-components present", greens)
     verdict, _ = _is_finite_type(ctx)
-    witnesses = _scan(ctx)
     if verdict == "finite":
-        return not witnesses
-    return bool(witnesses)
+        return not ctx.scan
+    return bool(ctx.scan)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +640,7 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
     if greens:
         characterization = {"status": "hypothesis-violated", "consistent": None}
     else:
-        witnesses = _scan(ctx)
-        consistent = (not witnesses) if verdict == "finite" else bool(witnesses)
+        consistent = (not ctx.scan) if verdict == "finite" else bool(ctx.scan)
         characterization = {"status": "ok", "consistent": consistent}
 
     active_json = None

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .graph import Graph, GraphMorphism, Tree, connected_components, contract, edge
+from .graph import Graph, GraphMorphism, Tree, connected_components, contract, edge, subtree_parents
 from .group_graph import (
     FiniteGroup,
     GroupGraph,
@@ -164,25 +164,8 @@ def random_connected_subset(rng: random.Random, t: Tree, size: int) -> frozenset
 
 def constrained_incidences(t: Tree, rset: frozenset[str]) -> list[tuple[str, tuple]]:
     """(far vertex, its first edge toward the subtree), one per outside vertex."""
-    out = []
-    for v in sorted(t.vertices - rset):
-        prev = {v: None}
-        queue = [v]
-        hit = None
-        while queue:
-            cur = queue.pop(0)
-            if cur in rset:
-                hit = cur
-                break
-            for n in t.graph.neighbors(cur):
-                if n not in prev:
-                    prev[n] = cur
-                    queue.append(n)
-        cur = hit
-        while prev[prev[cur]] is not None:
-            cur = prev[cur]
-        out.append((v, edge(v, cur)))
-    return out
+    parent = subtree_parents(t, rset)
+    return [(v, edge(v, parent[v])) for v in sorted(t.vertices - rset)]
 
 
 def _cyclic_hom(rng: random.Random, n: int, m: int) -> GroupHom:

@@ -102,6 +102,19 @@ class Graph:
         """Sorted neighbours of v; empty for a vertex outside the graph."""
         return self._adjacency.get(v, ())
 
+    def bfs(self, sources) -> dict[str, str | None]:
+        """Breadth-first search from all sources at once (FIFO, sources in the
+        given order, neighbours in sorted order).  Returns the parent map of
+        the reached vertices in visit order; a source's parent is None."""
+        parent = dict.fromkeys(sources)
+        order = list(parent)
+        for cur in order:  # grows while it is walked: the FIFO queue
+            for n in self.neighbors(cur):
+                if n not in parent:
+                    parent[n] = cur
+                    order.append(n)
+        return parent
+
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
 
@@ -316,37 +329,26 @@ def geodesic_to_subtree(t: Tree, r, v: str) -> Geodesic:
 
     When v is in r the geodesic is the single element v.
     """
-    rset = _check_subtree(t, r)
+    parent = subtree_parents(t, r)
     if v not in t.vertices:
         raise GraphError(f"vertex {v!r} not in the tree")
-    if v in rset:
-        return Geodesic((v,))
-    # BFS from v; the tree structure makes the path unique.
-    prev: dict[str, tuple[str, Edge]] = {}
-    queue = [v]
-    seen = {v}
-    hit = None
-    while queue:
-        cur = queue.pop(0)
-        if cur in rset:
-            hit = cur
-            break
-        for n in t.graph.neighbors(cur):
-            if n not in seen:
-                seen.add(n)
-                prev[n] = (cur, edge(cur, n))
-                queue.append(n)
-    if hit is None:
-        raise GraphError("subtree unreachable (tree is connected, so unreachable input)")
-    path = [hit]
-    cur = hit
-    while cur != v:
-        p, e = prev[cur]
-        path.append(e)
-        path.append(p)
-        cur = p
-    path.reverse()
-    return Geodesic(tuple(path))
+    return Geodesic(tuple(path_to_root(parent, v)))
+
+
+def path_to_root(parent: dict, v: str) -> list:
+    """Element path [v, edge, parent, ..., root] along a parent map from bfs."""
+    path = [v]
+    while parent[v] is not None:
+        path += [edge(v, parent[v]), parent[v]]
+        v = parent[v]
+    return path
+
+
+def subtree_parents(t: Tree, r) -> dict[str, str | None]:
+    """Parent map toward a subtree: each outside vertex maps to its neighbour
+    on the geodesic to r, each vertex of r to None.  The subtree is connected,
+    so the nearest vertex of r, and the first edge toward it, are unique."""
+    return t.graph.bfs(sorted(_check_subtree(t, r)))
 
 
 def precedes(t: Tree, r, v: str, w: str) -> bool:

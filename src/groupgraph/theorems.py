@@ -24,7 +24,7 @@ from .cohomology import (
     h1_vector,
     push_cocycle,
 )
-from .graph import Edge, Graph, GraphMorphism, Tree, contract, edge_key
+from .graph import Edge, Graph, GraphMorphism, Tree, contract, edge_key, subtree_parents
 from .group_graph import (
     GroupGraph,
     GroupGraphError,
@@ -77,18 +77,18 @@ class RepulsivityReport:
 
 def check_repulsive(g: GroupGraph, r) -> RepulsivityReport:
     """Test outward surjectivity along the partial order induced by a subtree."""
-    from .graph import precedes
-
     t = Tree(g.base)
     rset = frozenset(r)
-    violations = []
-    for e in g.base.sorted_edges():
-        u, w = e
-        if u in rset and w in rset:
-            continue  # incomparable: no condition
-        for near, far in ((u, w), (w, u)):
-            if precedes(t, rset, near, far) and not g.restriction(far, e).is_surjective():
-                violations.append((far, e))
+    # an edge with both ends in the subtree is incomparable: no condition
+    outside = [e for e in g.base.sorted_edges() if not (e[0] in rset and e[1] in rset)]
+    # near precedes far across an edge exactly when near is far's parent toward r
+    parent = subtree_parents(t, rset) if outside else {}
+    violations = [
+        (far, e)
+        for e in outside
+        for near, far in (e, e[::-1])
+        if parent[far] == near and not g.restriction(far, e).is_surjective()
+    ]
     violations.sort(key=lambda p: (p[0], p[1]))
     return RepulsivityReport(sorted(rset), violations)
 
@@ -226,7 +226,6 @@ def quotient_iso_verify(
     k: SubGroupGraph,
     budget: int = DEFAULT_ENUM_BUDGET,
     require_tree: bool = True,
-    lift_pairs_cap: int | None = None,
 ) -> dict:
     """Verify that the projection onto the quotient induces a bijection on H1
     and exercise the constructive lift on every cohomologous pair."""
@@ -254,8 +253,6 @@ def quotient_iso_verify(
         edges = g.base.sorted_edges()
         # every cocycle against its class representative, class by class
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
-            if lift_pairs_cap is not None and lifted >= lift_pairs_cap:
-                break
             other = Cocycle1.from_tail_values(g, dict(zip(edges, t)))
             try:
                 quotient_lift(g, k, proj, src.representatives[c], other, qw)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from groupgraph import cli, foliation
 
 
@@ -224,6 +226,94 @@ def test_analyze_validates_and_cuts_once(monkeypatch, tmp_path):
         # the CLI validates before analyzing; the analysis validates once more
         assert calls["validate"] <= 2, (name, calls)
         assert calls["cut_graph"] == 1, (name, calls)
+
+
+def injected_type1_with_scan_fallbacks():
+    """Red R; green A generates along A-R.  B and C fail, and their geodesics
+    from R match no shape (A-B and A-C are not-iso on both sides); D fails on
+    the type-1 geodesic R, A, D (iso at A, not-iso at D)."""
+    def inc(a, na, b, nb):
+        return {"kind": "singular", "holonomy": {a: {"periodic": True, "order": na},
+                                                 b: {"periodic": True, "order": nb}}}
+    green = {"kind": "invariant", "holonomy": {"finite": True, "order": 2}}
+    return {
+        "tree": {"vertices": ["A", "B", "C", "D", "R"],
+                 "edges": [["A", "R"], ["A", "B"], ["A", "C"], ["A", "D"]]},
+        "vertices": {"A": green, "B": green, "C": green, "D": green,
+                     "R": {"kind": "invariant", "holonomy": {"finite": False, "tdim": 0}}},
+        "edges": {"A#R": inc("A", 2, "R", 2), "A#B": inc("A", 1, "B", 1),
+                  "A#C": inc("A", 1, "C", 1), "A#D": inc("A", 2, "D", 1)},
+    }
+
+
+def test_analyze_scans_once_with_several_witness_fallbacks(monkeypatch, tmp_path):
+    calls = []
+    real = foliation._scan
+
+    def counting(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(foliation, "_scan", counting)
+    out = tmp_path / "report.json"
+    code = cli.main(["analyze", "--input",
+                     write_json(tmp_path / "spec.json", injected_type1_with_scan_fallbacks()),
+                     "--output", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["finite_type"] == "not-finite"
+    assert rep["characterization"] == {"status": "ok", "consistent": True}
+    type1 = {"type": 1, "elements": ["R", ["A", "R"], "A", ["A", "D"], "D"]}
+    # B and C (no shape of their own) fall back to the scan's first witness; D has its own
+    assert rep["components"][0]["witnesses"] == [type1, type1, type1]
+    assert len(calls) == 1  # one scan per analysis, shared by both fallbacks and the crosscheck
+
+
+T4, SEG = "type4_two_reds", "active_red_segment"
+MALFORMED = [
+    # (id, fixture, path to the replaced value, replacement, exit code, message part)
+    ("vertices-list", T4, ("vertices",), [], 1, "vertices must be a JSON object"),
+    ("vertex-string", T4, ("vertices", "D1"), "invariant", 1, "vertex 'D1' must be"),
+    ("vertex-holonomy-list", T4, ("vertices", "D1", "holonomy"), [False, 1], 1,
+     "holonomy of vertex 'D1' must be"),
+    ("edges-string", T4, ("edges",), "D1#D2", 1, "edges must be a JSON object"),
+    ("edge-list", T4, ("edges", "D1#D2"), ["singular"], 1, "edge 'D1#D2' must be"),
+    ("edge-holonomy-list", T4, ("edges", "D1#D2", "holonomy"), [], 1,
+     "holonomy of edge 'D1#D2' must be"),
+    ("incidence-int", T4, ("edges", "D1#D2", "holonomy", "D1"), 2, 1,
+     "holonomy of edge 'D1#D2' at 'D1' must be"),
+    ("incidence-order-true", T4, ("edges", "D1#D2", "holonomy", "D1", "order"), True, 2,
+     "periodic holonomy at D1 needs a positive order"),
+    ("vertex-tdim-true", T4, ("vertices", "D1", "holonomy", "tdim"), True, 2,
+     "vertex D1: infinite holonomy needs tdim 0 or 1"),
+    ("vertex-order-true", T4, ("vertices", "D2", "holonomy"), {"finite": True, "order": True}, 2,
+     "vertex D2: finite holonomy needs a positive order"),
+    ("vertex-order-string", T4, ("vertices", "D2", "holonomy"), {"finite": True, "order": "6"}, 2,
+     "vertex D2: finite holonomy needs a positive order"),
+    ("edge-tdim-true", SEG, ("edges", "D1#D2", "tdim"), True, 2, "red edge needs tdim 0 or 1"),
+    ("red-vertex-no-tdim", SEG, ("vertices", "D1", "holonomy"), {}, 2,
+     "vertex D1: infinite holonomy needs tdim 0 or 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,path,value,code,message", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_malformed_spec_exits_with_a_message_not_a_traceback(
+    tmp_path, fixture, path, value, code, message
+):
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    r = run_cli("analyze", "--input", write_json(tmp_path / "spec.json", data))
+    assert "Traceback" not in r.stderr
+    assert r.returncode == code, (r.returncode, r.stderr)
+    if code == 1:
+        assert r.stderr.startswith("parse error: ") and message in r.stderr
+    else:
+        assert any(message in v for v in json.loads(r.stdout)["violations"])
 
 
 def test_emitted_group_graph_json_reparses(tmp_path):

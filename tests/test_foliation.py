@@ -17,8 +17,15 @@ from groupgraph.foliation import (
     scan_typed_geodesics,
     validate,
 )
+from groupgraph.foliation import _analyze, _certifies, _tree_path
+from groupgraph.graph import connected_components, edge, path_to_root
 from groupgraph.theorems import HypothesisViolated
-from groupgraph.generators import random_foliation_spec, random_injected_spec
+from groupgraph.generators import (
+    random_connected_subset,
+    random_foliation_spec,
+    random_injected_spec,
+    random_tree,
+)
 from groupgraph.group_graph import is_regular
 
 
@@ -446,3 +453,125 @@ def test_report_serializes_deterministically():
     assert a == b
     parsed = json.loads(a)
     assert parsed["moduli_dim"] == 1
+
+
+# --- slow oracles: the per-vertex searches that one BFS per component replaced
+
+
+def oracle_tree_path(comp, u, w):
+    prev = {u: None}
+    queue = [u]
+    while queue:
+        cur = queue.pop(0)
+        if cur == w:
+            break
+        for n in comp.neighbors(cur):
+            if n not in prev:
+                prev[n] = cur
+                queue.append(n)
+    path = [w]
+    cur = w
+    while prev[cur] is not None:
+        p = prev[cur]
+        path.append(edge(p, cur))
+        path.append(p)
+        cur = p
+    path.reverse()
+    return path
+
+
+def oracle_first_edge_toward(comp, targets, v):
+    prev = {v: None}
+    queue = [v]
+    hit = None
+    while queue:
+        cur = queue.pop(0)
+        if cur in targets:
+            hit = cur
+            break
+        for n in comp.neighbors(cur):
+            if n not in prev:
+                prev[n] = cur
+                queue.append(n)
+    cur = hit
+    while prev[prev[cur]] is not None:
+        cur = prev[cur]
+    return edge(v, cur), cur
+
+
+def oracle_nearest_red(comp, red_vs, v):
+    prev = {v: None}
+    queue = [v]
+    while queue:
+        cur = queue.pop(0)
+        if cur in red_vs:
+            return cur
+        for n in comp.neighbors(cur):
+            if n not in prev:
+                prev[n] = cur
+                queue.append(n)
+    raise AssertionError("no red vertex reachable")
+
+
+def oracle_certifies(spec, comp, v):
+    prev = {v: None}
+    queue = [v]
+    while queue:
+        cur = queue.pop(0)
+        for n in comp.neighbors(cur):
+            if n not in prev:
+                prev[n] = cur
+                queue.append(n)
+                e = edge(cur, n)
+                if spec.vertex_order[n] != spec.edge_holonomy[(n, e)]["order"]:
+                    return False
+    return True
+
+
+def check_red_parent_map(comp, red_vs):
+    """The parent map toward a connected red part gives every green vertex
+    the first edge and the red-first path of the per-vertex searches."""
+    parent = comp.bfs(sorted(red_vs))
+    for v in sorted(comp.vertices - red_vs):
+        assert (edge(v, parent[v]), parent[v]) == oracle_first_edge_toward(comp, red_vs, v)
+        nearest = oracle_nearest_red(comp, red_vs, v)
+        assert path_to_root(parent, v) == oracle_tree_path(comp, v, nearest)
+    return len(comp.vertices - red_vs)
+
+
+def check_tree_paths(comp):
+    for u in comp.sorted_vertices():
+        for w in comp.sorted_vertices():
+            assert _tree_path(comp, u, w) == oracle_tree_path(comp, u, w)
+
+
+def test_red_parent_map_and_tree_paths_match_oracles_on_random_trees():
+    greens = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        t = random_tree(rng, rng.randint(1, 14))
+        red_vs = random_connected_subset(rng, t, rng.randint(1, len(t.vertices)))
+        greens += check_red_parent_map(t.graph, red_vs)
+        check_tree_paths(t.graph)
+    assert greens > 200
+
+
+def test_red_parent_map_and_certificates_match_oracles_on_generated_specs():
+    specs = [random_foliation_spec(random.Random(seed)) for seed in range(30)]
+    specs += [
+        random_injected_spec(random.Random(seed), gtype)
+        for seed in range(10) for gtype in (1, 2, 3, 4)
+    ]
+    greens = certified = 0
+    for data in specs:
+        spec = spec_of(data)
+        ctx = _analyze(spec)
+        for comp, red in zip(ctx.comps, ctx.red_per_comp):
+            check_tree_paths(comp)
+            if not red.vertices:
+                for v in comp.sorted_vertices():
+                    assert _certifies(spec, comp, v) == oracle_certifies(spec, comp, v)
+                    certified += 1
+            elif len(connected_components(red)) == 1:
+                greens += check_red_parent_map(comp, red.vertices)
+    assert greens > 100 and certified > 20

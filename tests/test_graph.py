@@ -11,11 +11,13 @@ from groupgraph.graph import (
     Tree,
     connected_components,
     contract,
+    edge,
     first_homology_rank,
     geodesic_to_subtree,
     precedes,
     validate_tree,
 )
+from groupgraph.generators import constrained_incidences, random_connected_subset
 
 
 def path_graph(*names):
@@ -109,6 +111,87 @@ def test_precedes_is_a_partial_order_on_random_trees():
                 for x in vs:
                     if precedes(t, r, v, w) and precedes(t, r, w, x):
                         assert precedes(t, r, v, x)
+
+
+# --- slow oracles: the per-vertex searches that one BFS from the subtree replaced
+
+
+def oracle_geodesic_to_subtree(t, r, v):
+    """BFS from v until the subtree is hit, then the path walked back."""
+    rset = frozenset(r)
+    if v in rset:
+        return Geodesic((v,))
+    prev = {}
+    queue = [v]
+    seen = {v}
+    hit = None
+    while queue:
+        cur = queue.pop(0)
+        if cur in rset:
+            hit = cur
+            break
+        for n in t.graph.neighbors(cur):
+            if n not in seen:
+                seen.add(n)
+                prev[n] = (cur, edge(cur, n))
+                queue.append(n)
+    path = [hit]
+    cur = hit
+    while cur != v:
+        p, e = prev[cur]
+        path.append(e)
+        path.append(p)
+        cur = p
+    path.reverse()
+    return Geodesic(tuple(path))
+
+
+def oracle_constrained_incidences(t, rset):
+    """One BFS per outside vertex for its first edge toward the subtree."""
+    out = []
+    for v in sorted(t.vertices - rset):
+        prev = {v: None}
+        queue = [v]
+        hit = None
+        while queue:
+            cur = queue.pop(0)
+            if cur in rset:
+                hit = cur
+                break
+            for n in t.graph.neighbors(cur):
+                if n not in prev:
+                    prev[n] = cur
+                    queue.append(n)
+        cur = hit
+        while prev[prev[cur]] is not None:
+            cur = prev[cur]
+        out.append((v, edge(v, cur)))
+    return out
+
+
+def test_bfs_multi_source_order_parents_and_unreached():
+    g = Graph.make("abcdexyz", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("y", "z")])
+    # sources first, in the given order (a repeat is ignored), then FIFO
+    parent = g.bfs(["e", "a", "e"])
+    assert list(parent.items()) == [("e", None), ("a", None), ("d", "e"), ("b", "a"), ("c", "d")]
+    assert not {"x", "y", "z"} & set(parent)  # other components are not reached
+    assert g.bfs(["x"]) == {"x": None}
+    assert g.bfs([]) == {}
+    star = Graph.make("scab", [("s", "c"), ("s", "a"), ("s", "b")])  # neighbours sorted
+    assert list(star.bfs(["s"]).items()) == [("s", None), ("a", "s"), ("b", "s"), ("c", "s")]
+
+
+def test_subtree_searches_match_per_vertex_oracles():
+    checked = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        t = random_tree(rng, rng.randint(1, 14))
+        r = random_connected_subset(rng, t, rng.randint(1, len(t.vertices)))
+        for v in sorted(t.vertices):
+            assert geodesic_to_subtree(t, r, v) == oracle_geodesic_to_subtree(t, r, v)
+            checked += 1
+        assert constrained_incidences(t, r) == oracle_constrained_incidences(t, r)
+    assert checked > 500
 
 
 # --- contraction -------------------------------------------------------------

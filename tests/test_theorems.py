@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import finite_gg, vector_gg
-from groupgraph.graph import Graph, GraphMorphism, Tree, contract
+from groupgraph.graph import Graph, GraphError, GraphMorphism, Tree, contract, precedes
 from groupgraph.group_graph import (
     GroupGraphError,
     GroupHom,
@@ -25,6 +25,7 @@ from groupgraph.cohomology import (
 )
 from groupgraph.theorems import (
     HypothesisViolated,
+    RepulsivityReport,
     build_active_structure,
     check_repulsive,
     contraction_regularity,
@@ -38,8 +39,10 @@ from groupgraph.theorems import (
     _orbit_witnesses,
 )
 from groupgraph.generators import (
+    random_connected_subset,
     random_direct_image_pair,
     random_exact_sequence,
+    random_finite_group_graph,
     random_nonrepulsive_instance,
     random_regular_finite,
     random_regular_vector,
@@ -126,6 +129,52 @@ def test_random_nonrepulsive_controls_are_detected():
     for seed in range(10):
         g, r = random_nonrepulsive_instance(random.Random(seed))
         assert not check_repulsive(g, r).is_repulsive()
+
+
+def oracle_check_repulsive(g, r):
+    """Slow oracle: "near precedes far" read from two geodesics per
+    orientation of every edge, as check_repulsive did before the parent map."""
+    t = Tree(g.base)
+    rset = frozenset(r)
+    violations = []
+    for e in g.base.sorted_edges():
+        u, w = e
+        if u in rset and w in rset:
+            continue
+        for near, far in ((u, w), (w, u)):
+            if precedes(t, rset, near, far) and not g.restriction(far, e).is_surjective():
+                violations.append((far, e))
+    violations.sort(key=lambda p: (p[0], p[1]))
+    return RepulsivityReport(sorted(rset), violations)
+
+
+def test_check_repulsive_matches_precedes_oracle():
+    reports = []
+    for seed in range(90):
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            g, r = random_repulsive_instance(rng, "vector" if seed % 2 else "finite")
+        elif seed % 3 == 1:
+            g, r = random_nonrepulsive_instance(rng)
+        else:
+            t = random_tree(rng, rng.randint(1, 8))
+            make = random_vector_group_graph if seed % 2 else random_finite_group_graph
+            g = make(rng, t)
+            r = random_connected_subset(rng, t, rng.randint(1, len(t.vertices)))
+        rep = check_repulsive(g, r)
+        assert rep.to_json() == oracle_check_repulsive(g, r).to_json()
+        reports.append(rep.is_repulsive())
+    assert 10 < sum(reports) < 80
+    # degenerate subtrees: no comparable edge, or not a subtree at all
+    single = vector_gg(["a"], [], {"a": 1}, {})
+    assert check_repulsive(single, set()).to_json() == oracle_check_repulsive(single, set()).to_json()
+    path = vector_gg(["a", "b", "c"], [("a", "b"), ("b", "c")],
+                     {"a": 1, "b": 1, "c": 1}, {("a", "b"): 1, ("b", "c"): 1})
+    for bad in ({"a", "c"}, set(), {"a", "zzz"}):
+        with pytest.raises(GraphError):
+            oracle_check_repulsive(path, bad)
+        with pytest.raises(GraphError):
+            check_repulsive(path, bad)
 
 
 # --- quotient isomorphism ---------------------------------------------------------
