@@ -18,27 +18,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .graph import edge_key, incidence_key
+from .graph import edge_key, incidence_key, parse_incidence_key
 from .group_graph import (
     BudgetExceeded,
     GroupGraph,
     GroupGraphMorphism,
     GroupGraphError,
+    _difference_map,
+    _h0_basis_vector,
+    _h0_subgroup_finite,
 )
 
 DEFAULT_ENUM_BUDGET = 10**7
-
-
-def _value_to_json(carrier: str, val):
-    if carrier == "finite":
-        return val
-    return [linalg.frac_to_json(x) for x in val]
-
-
-def _value_from_json(carrier: str, data):
-    if carrier == "finite":
-        return data
-    return [linalg.frac(x) for x in data]
 
 
 class Cochain0:
@@ -51,11 +42,14 @@ class Cochain0:
         self.values = dict(values)
 
     def to_json(self) -> dict:
-        return {v: _value_to_json(self.graph.carrier, x) for v, x in sorted(self.values.items())}
+        vobj = self.graph.vobj
+        return {v: vobj[v].value_to_json(x) for v, x in sorted(self.values.items())}
 
     @staticmethod
     def from_json(g: GroupGraph, data: dict) -> "Cochain0":
-        return Cochain0(g, {v: _value_from_json(g.carrier, x) for v, x in data.items()})
+        if set(data) != set(g.base.vertices):
+            raise GroupGraphError("cochain is not total over the vertices")
+        return Cochain0(g, {v: g.vobj[v].value_from_json(x) for v, x in data.items()})
 
 
 class Cocycle1:
@@ -69,14 +63,9 @@ class Cocycle1:
                 raise GroupGraphError("cocycle is not total over the incidences")
             for e in g.base.sorted_edges():
                 a, b = e
-                if g.carrier == "finite":
-                    grp = g.eobj[e]
-                    if grp.mul(self.values[(a, e)], self.values[(b, e)]) != 0:
-                        raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
-                else:
-                    s = linalg.vec_add(self.values[(a, e)], self.values[(b, e)])
-                    if any(x != 0 for x in s):
-                        raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
+                grp = g.eobj[e]
+                if grp.mul(self.values[(a, e)], self.values[(b, e)]) != grp.identity():
+                    raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
 
     @staticmethod
     def from_tail_values(g: GroupGraph, tail: dict) -> "Cocycle1":
@@ -84,20 +73,15 @@ class Cocycle1:
         values = {}
         for e in g.base.sorted_edges():
             a, b = e  # a < b is the tail
-            x = tail[e]
-            values[(a, e)] = x
-            if g.carrier == "finite":
-                values[(b, e)] = g.eobj[e].inv(x)
-            else:
-                values[(b, e)] = linalg.vec_neg(x)
+            values[(a, e)] = tail[e]
+            values[(b, e)] = g.eobj[e].inv(tail[e])
         return Cocycle1(g, values, validate=False)
 
     @staticmethod
     def trivial(g: GroupGraph) -> "Cocycle1":
-        tail = {}
-        for e in g.base.sorted_edges():
-            tail[e] = 0 if g.carrier == "finite" else [Fraction(0)] * g.eobj[e].dim
-        return Cocycle1.from_tail_values(g, tail)
+        return Cocycle1.from_tail_values(
+            g, {e: g.eobj[e].identity() for e in g.base.sorted_edges()}
+        )
 
     def tail_tuple(self) -> tuple:
         """Canonical form: tail values over sorted edges (finite carrier)."""
@@ -111,25 +95,24 @@ class Cocycle1:
         return out
 
     def is_trivial(self) -> bool:
-        if self.graph.carrier == "finite":
-            return all(x == 0 for x in self.tail_tuple())
-        return all(x == 0 for x in self.tail_vector())
+        eobj = self.graph.eobj
+        return all(
+            self.values[(e[0], e)] == eobj[e].identity() for e in self.graph.base.sorted_edges()
+        )
 
     def to_json(self) -> dict:
+        eobj = self.graph.eobj
         return {
-            incidence_key(v, e): _value_to_json(self.graph.carrier, x)
+            incidence_key(v, e): eobj[e].value_to_json(x)
             for (v, e), x in sorted(self.values.items())
         }
 
     @staticmethod
     def from_json(g: GroupGraph, data: dict) -> "Cocycle1":
-        from .graph import parse_incidence_key
-
-        values = {}
-        for key, x in data.items():
-            v, e = parse_incidence_key(key)
-            values[(v, e)] = _value_from_json(g.carrier, x)
-        return Cocycle1(g, values)
+        raw = {parse_incidence_key(key): x for key, x in data.items()}
+        if set(raw) != set(g.base.incidences()):
+            raise GroupGraphError("cocycle is not total over the incidences")
+        return Cocycle1(g, {(v, e): g.eobj[e].value_from_json(x) for (v, e), x in raw.items()})
 
 
 def coboundary_action(c: Cochain0, z: Cocycle1, g: GroupGraph) -> Cocycle1:
@@ -145,13 +128,8 @@ def coboundary_action(c: Cochain0, z: Cocycle1, g: GroupGraph) -> Cocycle1:
         for v, w in (e, (e[1], e[0])):
             rv = g.restriction(v, e).apply(c.values[v])
             rw = g.restriction(w, e).apply(c.values[w])
-            if g.carrier == "finite":
-                grp = g.eobj[e]
-                values[(v, e)] = grp.mul(grp.mul(grp.inv(rv), z.values[(v, e)]), rw)
-            else:
-                values[(v, e)] = linalg.vec_add(
-                    linalg.vec_sub(z.values[(v, e)], rv), rw
-                )
+            grp = g.eobj[e]
+            values[(v, e)] = grp.mul(grp.mul(grp.inv(rv), z.values[(v, e)]), rw)
     return Cocycle1(g, values)  # validation asserts antisymmetry on every output
 
 
@@ -194,77 +172,19 @@ class CohomologyResult:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _vertex_blocks(g: GroupGraph):
-    offs, total = {}, 0
-    for v in g.base.sorted_vertices():
-        offs[v] = total
-        total += g.vobj[v].dim
-    return offs, total
-
-
 def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
-    """Compatible vertex families: kernel linear algebra or exhaustive filter."""
+    """Compatible vertex families: the kernel of the difference map, or an
+    exhaustive filter."""
     if g.carrier == "vector":
-        offs, total = _vertex_blocks(g)
-        rows = []
-        for e in g.base.sorted_edges():
-            a, b = e
-            ra, rb = g.restriction(a, e), g.restriction(b, e)
-            for i in range(g.eobj[e].dim):
-                row = [Fraction(0)] * total
-                for j in range(g.vobj[a].dim):
-                    row[offs[a] + j] += ra.data[i][j]
-                for j in range(g.vobj[b].dim):
-                    row[offs[b] + j] -= rb.data[i][j]
-                rows.append(row)
-        basis = linalg.kernel_basis(rows, total)
-        vs = g.base.sorted_vertices()
-        cochains = []
-        for vec in basis:
-            values = {
-                v: vec[offs[v]: offs[v] + g.vobj[v].dim] for v in vs
-            }
-            cochains.append(Cochain0(g, values))
+        basis, offs = _h0_basis_vector(g, g.base)
+        cochains = [
+            Cochain0(g, {v: vec[offs[v]: offs[v] + g.vobj[v].dim] for v in offs})
+            for vec in basis
+        ]
         return CohomologyResult("h0", "vector", dim=len(basis), basis=cochains, _graph=g)
-
-    size = 1
-    for v in g.base.vertices:
-        size *= g.vobj[v].order
-    if size > budget:
-        raise BudgetExceeded(
-            f"H0 enumeration of {size} families exceeds budget {budget}",
-            {"candidates": size, "budget": budget},
-        )
-    vs = g.base.sorted_vertices()
-    found = []
-    for t in itertools.product(*(range(g.vobj[v].order) for v in vs)):
-        fam = dict(zip(vs, t))
-        ok = all(
-            g.restriction(e[0], e).apply(fam[e[0]]) == g.restriction(e[1], e).apply(fam[e[1]])
-            for e in g.base.sorted_edges()
-        )
-        if ok:
-            found.append(Cochain0(g, fam))
+    tuples, vs = _h0_subgroup_finite(g, g.base, budget)
+    found = [Cochain0(g, dict(zip(vs, t))) for t in tuples]
     return CohomologyResult("h0", "finite", order=len(found), elements=found, _graph=g)
-
-
-def _coboundary_matrix(g: GroupGraph) -> tuple[list[list[Fraction]], dict, int]:
-    """Matrix of the coboundary into tail coordinates of Z1 (vector carrier)."""
-    voffs, vtotal = _vertex_blocks(g)
-    eoffs, etotal = {}, 0
-    for e in g.base.sorted_edges():
-        eoffs[e] = etotal
-        etotal += g.eobj[e].dim
-    m = linalg.zeros(etotal, vtotal)
-    for e in g.base.sorted_edges():
-        a, b = e  # tail a: value rho_b(c_b) - rho_a(c_a)
-        ra, rb = g.restriction(a, e), g.restriction(b, e)
-        for i in range(g.eobj[e].dim):
-            for j in range(g.vobj[b].dim):
-                m[eoffs[e] + i][voffs[b] + j] += rb.data[i][j]
-            for j in range(g.vobj[a].dim):
-                m[eoffs[e] + i][voffs[a] + j] -= ra.data[i][j]
-    return m, eoffs, etotal
 
 
 def _tail_vector_to_cocycle(g: GroupGraph, vec, eoffs) -> Cocycle1:
@@ -276,13 +196,13 @@ def _tail_vector_to_cocycle(g: GroupGraph, vec, eoffs) -> Cocycle1:
 
 def h1_vector(g: GroupGraph) -> CohomologyResult:
     """dim H1 = dim Z1 - rank of the coboundary; basis lifted through the
-    tail-coordinate identification."""
+    tail-coordinate identification.  B1 is the column space of the difference
+    map (the coboundary up to sign), read as the row space of its transpose."""
     if g.carrier != "vector":
         raise GroupGraphError("h1_vector requires the vector carrier")
-    m, eoffs, etotal = _coboundary_matrix(g)
-    cols = linalg.transpose(m, None) if m else []
-    im_basis = linalg.row_space_basis(cols) if cols else []
-    im_basis = [v for v in im_basis if any(x != 0 for x in v)]
+    rows, _, ncols, eoffs = _difference_map(g, g.base)
+    etotal = len(rows)
+    im_basis = linalg.row_space_basis(linalg.transpose(rows, ncols))
     free = linalg.extend_to_basis(im_basis, etotal)
     basis = []
     for i in free:
@@ -417,10 +337,7 @@ def push_cocycle(m: GroupGraphMorphism, z: Cocycle1) -> Cocycle1:
     for v, e in g2.base.incidences():
         img_e = m.over.apply_edge(e)
         if isinstance(img_e, str):
-            if g2.carrier == "finite":
-                values[(v, e)] = 0
-            else:
-                values[(v, e)] = [Fraction(0)] * g2.eobj[e].dim
+            values[(v, e)] = g2.eobj[e].identity()
         else:
             img_v = m.over.apply(v)
             values[(v, e)] = m.maps[e].apply(z.values[(img_v, img_e)])

@@ -28,7 +28,7 @@ from .graph import (
     path_to_root,
     validate_tree,
 )
-from .group_graph import GroupGraph, GroupHom, VectorSpace, is_regular
+from .group_graph import GroupGraph, GroupHom, VectorSpace, _is_int, is_regular
 from .cohomology import h1_vector
 from .theorems import VerificationError, HypothesisViolated, regular_h1, restrict, build_active_structure
 from . import linalg
@@ -158,10 +158,6 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not 1
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -247,6 +243,13 @@ def validate(spec: FoliationSpec) -> list[str]:
         else:
             if e in spec.edge_tdim:
                 out.append(f"edge {key}: tdim on a green edge")
+    # entries naming nothing in the tree would otherwise be silently ignored
+    for v in sorted(set(spec.vertex_kind) - g.vertices):
+        out.append(f"vertex {v}: not in the tree")
+    for e in sorted(set(spec.edge_kind) - g.edges):
+        out.append(f"edge {edge_key(e)}: not in the tree")
+    for v, e in sorted(k for k in spec.edge_holonomy if k[0] not in k[1]):
+        out.append(f"edge {edge_key(e)}: holonomy at {v}, which is not an endpoint")
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +46,16 @@ class BudgetExceeded(RuntimeError):
         self.sizes = sizes
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not 1
+
+
 # ---------------------------------------------------------------------------
 # carriers
+#
+# The group object of a star is its carrier: both classes answer the element
+# operations mul, inv and identity() (written multiplicatively) and read and
+# write element values as JSON, so cochain code never asks which carrier it is.
 
 
 class FiniteGroup:
@@ -61,11 +70,11 @@ class FiniteGroup:
 
     def _validate(self):
         n = self.order
-        if n < 1 or len(self.table) != n or any(len(r) != n for r in self.table):
+        if not _is_int(n) or n < 1 or len(self.table) != n or any(len(r) != n for r in self.table):
             raise GroupGraphError("Cayley table shape does not match the order")
         for row in self.table:
             for x in row:
-                if not (0 <= x < n):
+                if not (_is_int(x) and 0 <= x < n):
                     raise GroupGraphError("Cayley table entry out of range")
         if any(self.table[0][j] != j for j in range(n)) or any(
             self.table[i][0] != i for i in range(n)
@@ -88,6 +97,15 @@ class FiniteGroup:
         if self._inv is None:
             self._inv = tuple(row.index(0) for row in self.table)
         return self._inv[a]
+
+    def identity(self) -> int:
+        return 0
+
+    def value_to_json(self, x: int) -> int:
+        return x
+
+    def value_from_json(self, data) -> int:
+        return data
 
     def elements(self) -> range:
         return range(self.order)
@@ -201,12 +219,15 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP) -> "FiniteGroup":
-        if data["order"] > order_cap:
+        order = data["order"]
+        if not _is_int(order):
+            raise GroupGraphError(f"group order {order!r} is not an integer")
+        if order > order_cap:
             raise BudgetExceeded(
-                f"finite group order {data['order']} exceeds the cap {order_cap}",
-                {"order": data["order"], "cap": order_cap},
+                f"finite group order {order} exceeds the cap {order_cap}",
+                {"order": order, "cap": order_cap},
             )
-        return FiniteGroup(data["order"], data["table"])
+        return FiniteGroup(order, data["table"])
 
 
 def trivial_group() -> FiniteGroup:
@@ -254,11 +275,28 @@ def direct_product_group(
 
 @dataclass(frozen=True)
 class VectorSpace:
+    """Q^dim as an additive group: mul is the vector sum, inv the negation."""
+
     dim: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise GroupGraphError("negative dimension")
+        if not _is_int(self.dim) or self.dim < 0:
+            raise GroupGraphError(f"dimension {self.dim!r} is not a non-negative integer")
+
+    def mul(self, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        return linalg.vec_add(a, b)
+
+    def inv(self, a: list[Fraction]) -> list[Fraction]:
+        return linalg.vec_neg(a)
+
+    def identity(self) -> list[Fraction]:
+        return [Fraction(0)] * self.dim
+
+    def value_to_json(self, x: list[Fraction]) -> list:
+        return [linalg.frac_to_json(c) for c in x]
+
+    def value_from_json(self, data) -> list[Fraction]:
+        return [linalg.frac(c) for c in data]
 
     def is_trivial(self) -> bool:
         return self.dim == 0
@@ -267,22 +305,18 @@ class VectorSpace:
         return {"dim": self.dim}
 
     @staticmethod
-    def from_json(data: dict) -> "VectorSpace":
+    def from_json(data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP) -> "VectorSpace":
+        """`order_cap` bounds finite groups only; both carriers parse through one call."""
         return VectorSpace(data["dim"])
 
 
-def obj_is_trivial(obj) -> bool:
-    return obj.is_trivial()
-
-
-def obj_to_json(obj) -> dict:
-    return obj.to_json()
+CARRIERS = {"finite": FiniteGroup, "vector": VectorSpace}
 
 
 def obj_from_json(carrier: str, data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP):
-    if carrier == "finite":
-        return FiniteGroup.from_json(data, order_cap)
-    return VectorSpace.from_json(data)
+    if carrier not in CARRIERS:
+        raise GroupGraphError(f"unknown carrier {carrier!r}")
+    return CARRIERS[carrier].from_json(data, order_cap)
 
 
 class GroupHom:
@@ -309,7 +343,7 @@ class GroupHom:
         if self.kind == "finite":
             if len(self.data) != self.source.order:
                 raise GroupGraphError("element map has wrong length")
-            if any(not (0 <= x < self.target.order) for x in self.data):
+            if any(not (_is_int(x) and 0 <= x < self.target.order) for x in self.data):
                 raise GroupGraphError("element map value out of range")
             for a in range(self.source.order):
                 for b in range(self.source.order):
@@ -403,12 +437,10 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 # group-graphs
 
-Star = object  # str (vertex) or Edge (tuple); used for documentation only
-
 
 class GroupGraph:
     def __init__(self, base: Graph, carrier: str, vobj: dict, eobj: dict, restrictions: dict):
-        if carrier not in ("finite", "vector"):
+        if not isinstance(carrier, str) or carrier not in CARRIERS:
             raise GroupGraphError(f"unknown carrier {carrier!r}")
         self.base = base
         self.carrier = carrier
@@ -418,7 +450,7 @@ class GroupGraph:
         self._validate()
 
     def _validate(self):
-        want = FiniteGroup if self.carrier == "finite" else VectorSpace
+        want = CARRIERS[self.carrier]
         if set(self.vobj) != set(self.base.vertices):
             raise GroupGraphError("vertex assignment is not total")
         if set(self.eobj) != set(self.base.edges):
@@ -443,14 +475,14 @@ class GroupGraph:
         return self.base.sorted_vertices() + self.base.sorted_edges()
 
     def is_trivial(self) -> bool:
-        return all(obj_is_trivial(self.obj(s)) for s in self.stars())
+        return all(self.obj(s).is_trivial() for s in self.stars())
 
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
             "carrier": self.carrier,
-            "vertices": {v: obj_to_json(o) for v, o in sorted(self.vobj.items())},
-            "edges": {edge_key(e): obj_to_json(o) for e, o in sorted(self.eobj.items())},
+            "vertices": {v: o.to_json() for v, o in sorted(self.vobj.items())},
+            "edges": {edge_key(e): o.to_json() for e, o in sorted(self.eobj.items())},
             "restrictions": {
                 incidence_key(v, e): h.to_json()
                 for (v, e), h in sorted(self.restrictions.items())
@@ -459,23 +491,32 @@ class GroupGraph:
 
     @staticmethod
     def from_json(data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP) -> "GroupGraph":
-        base = Graph.from_json(data["base"])
-        carrier = data["carrier"]
-        vobj = {v: obj_from_json(carrier, o, order_cap) for v, o in data["vertices"].items()}
-        eobj = {parse_edge_key(k): obj_from_json(carrier, o, order_cap) for k, o in data["edges"].items()}
-        restrictions = {}
-        for key, h in data["restrictions"].items():
-            v, e = parse_incidence_key(key)
-            restrictions[(v, e)] = GroupHom.from_json(vobj[v], eobj[e], h)
+        """Parse a group-graph; malformed JSON raises GroupGraphError."""
+        try:
+            base = Graph.from_json(data["base"])
+            carrier = data["carrier"]
+            vobj = {v: obj_from_json(carrier, o, order_cap) for v, o in data["vertices"].items()}
+            eobj = {parse_edge_key(k): obj_from_json(carrier, o, order_cap)
+                    for k, o in data["edges"].items()}
+            restrictions = {}
+            for key, h in data["restrictions"].items():
+                v, e = parse_incidence_key(key)
+                if v not in vobj or e not in eobj:
+                    raise GroupGraphError(f"restriction {key!r} names a star with no object")
+                restrictions[(v, e)] = GroupHom.from_json(vobj[v], eobj[e], h)
+        except KeyError as exc:
+            raise GroupGraphError(f"missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
+            raise GroupGraphError(f"malformed group-graph: {exc}") from exc
         return GroupGraph(base, carrier, vobj, eobj, restrictions)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def constant_group_graph(base: Graph, obj, carrier: str | None = None) -> GroupGraph:
+def constant_group_graph(base: Graph, obj) -> GroupGraph:
     """The same object everywhere with identity restrictions."""
-    carrier = carrier or ("finite" if isinstance(obj, FiniteGroup) else "vector")
+    carrier = next(name for name, cls in CARRIERS.items() if isinstance(obj, cls))
     vobj = {v: obj for v in base.vertices}
     eobj = {e: obj for e in base.edges}
     restrictions = {(v, e): GroupHom.identity(obj) for v, e in base.incidences()}
@@ -586,51 +627,57 @@ def pullback(phi: GraphMorphism, g: GroupGraph) -> tuple[GroupGraph, GroupGraphM
 
 
 def _h0_subgroup_finite(g: GroupGraph, sub: Graph, budget: int):
-    """Compatible families over a subgraph; returns (tuples, vertex order)."""
+    """Compatible families over a subgraph, in lexicographic order (that of
+    `itertools.product` over the sorted vertices); returns (tuples, vertex order)."""
     vs = sorted(sub.vertices)
-    size = 1
-    for v in vs:
-        size *= g.vobj[v].order
+    size = math.prod(g.vobj[v].order for v in vs)
     if size > budget:
         raise BudgetExceeded(
-            f"H0 fiber enumeration of size {size} exceeds budget {budget}",
+            f"H0 enumeration of {size} families exceeds budget {budget}",
             {"candidates": size, "budget": budget},
         )
     pos = {v: i for i, v in enumerate(vs)}
-    out = []
-    for t in itertools.product(*(range(g.vobj[v].order) for v in vs)):
-        ok = True
-        for a, b in sub.sorted_edges():
-            e = (a, b)
-            if g.restriction(a, e).apply(t[pos[a]]) != g.restriction(b, e).apply(t[pos[b]]):
-                ok = False
-                break
-        if ok:
-            out.append(t)
-    out.sort()
+    sides = [
+        (g.restriction(a, (a, b)), pos[a], g.restriction(b, (a, b)), pos[b])
+        for a, b in sub.sorted_edges()
+    ]
+    out = [
+        t
+        for t in itertools.product(*(range(g.vobj[v].order) for v in vs))
+        if all(ra.apply(t[i]) == rb.apply(t[j]) for ra, i, rb, j in sides)
+    ]
     return out, vs
 
 
-def _h0_basis_vector(g: GroupGraph, sub: Graph):
-    """Kernel basis of the difference map on a subgraph; returns (basis, vertex order, offsets)."""
-    vs = sorted(sub.vertices)
-    offs, total = {}, 0
-    for v in vs:
-        offs[v] = total
-        total += g.vobj[v].dim
-    rows = []
-    for a, b in sub.sorted_edges():
-        e = (a, b)
-        ra, rb = g.restriction(a, e), g.restriction(b, e)
+def _difference_map(g: GroupGraph, sub: Graph):
+    """Rows of the difference map c -> rho_a(c_a) - rho_b(c_b) over the sorted
+    edges (a, b) of a subgraph (vector carrier): one row per coordinate of G_e,
+    columns in blocks over the sorted vertices.  H0 is its kernel, and its
+    column space is B1 in tail coordinates.  Returns (rows, vertex offsets,
+    column count, edge offsets)."""
+    voffs, ncols = {}, 0
+    for v in sorted(sub.vertices):
+        voffs[v] = ncols
+        ncols += g.vobj[v].dim
+    rows, eoffs = [], {}
+    for e in sub.sorted_edges():
+        a, b = e
+        eoffs[e] = len(rows)
+        ra, rb = g.restriction(a, e).data, g.restriction(b, e).data
         for i in range(g.eobj[e].dim):
-            row = [Fraction(0)] * total
+            row = [Fraction(0)] * ncols
             for j in range(g.vobj[a].dim):
-                row[offs[a] + j] += ra.data[i][j]
+                row[voffs[a] + j] += ra[i][j]
             for j in range(g.vobj[b].dim):
-                row[offs[b] + j] -= rb.data[i][j]
+                row[voffs[b] + j] -= rb[i][j]
             rows.append(row)
-    basis = linalg.kernel_basis(rows, total)
-    return basis, vs, offs
+    return rows, voffs, ncols, eoffs
+
+
+def _h0_basis_vector(g: GroupGraph, sub: Graph):
+    """Kernel basis of the difference map on a subgraph; returns (basis, vertex offsets)."""
+    rows, offs, ncols, _ = _difference_map(g, sub)
+    return linalg.kernel_basis(rows, ncols), offs
 
 
 def direct_image(
@@ -646,7 +693,7 @@ def direct_image(
     tgt = phi.target
     carrier = g.carrier
 
-    fiber_data = {}  # v' -> finite: (group, tuples, vs) | vector: (space, basis, vs, offs)
+    fiber_data = {}  # v' -> finite: (group, tuples, vs) | vector: (space, basis, offs)
     for v2 in tgt.sorted_vertices():
         fiber = phi.fiber(v2)
         if carrier == "finite":
@@ -658,8 +705,8 @@ def direct_image(
             ]
             fiber_data[v2] = (FiniteGroup(len(tuples), table, validate=False), tuples, vs)
         else:
-            basis, vs, offs = _h0_basis_vector(g, fiber)
-            fiber_data[v2] = (VectorSpace(len(basis)), basis, vs, offs)
+            basis, offs = _h0_basis_vector(g, fiber)
+            fiber_data[v2] = (VectorSpace(len(basis)), basis, offs)
 
     edge_data = {}  # e' -> finite: (group, tuples, fiber_edges) | vector: (space, fiber_edges, offs)
     for e2 in tgt.sorted_edges():
@@ -696,7 +743,7 @@ def direct_image(
                 mapping.append(ppos[comps])
             restrictions[(v2, e2)] = GroupHom(grp, prod, mapping, validate=False)
         else:
-            space, basis, vs, offs = fiber_data[v2]
+            space, basis, offs = fiber_data[v2]
             espace, fe, eoffs = edge_data[e2]
             m = linalg.zeros(espace.dim, space.dim)
             for col, bvec in enumerate(basis):
@@ -719,7 +766,7 @@ def direct_image(
             vpos = vs.index(v)
             maps[v] = GroupHom(grp, g.vobj[v], [t[vpos] for t in tuples], validate=False)
         else:
-            space, basis, vs, offs = fiber_data[v2]
+            space, basis, offs = fiber_data[v2]
             d = g.vobj[v].dim
             m = [[basis[col][offs[v] + i] for col in range(space.dim)] for i in range(d)]
             maps[v] = GroupHom(space, g.vobj[v], m, validate=False)
@@ -736,7 +783,7 @@ def direct_image(
                     [g.restriction(x, e).apply(t[vpos]) for t in tuples], validate=False,
                 )
             else:
-                space, basis, vs, offs = fiber_data[img]
+                space, basis, offs = fiber_data[img]
                 d = g.eobj[e].dim
                 m = linalg.zeros(d, space.dim)
                 for col, bvec in enumerate(basis):
@@ -813,8 +860,6 @@ class SubGroupGraph:
         )
 
     def size(self, star):
-        if self.parent.carrier == "finite":
-            return len(self.subs[star])
         return len(self.subs[star])
 
     def is_trivial(self) -> bool:
@@ -933,7 +978,7 @@ def tensor(t: GroupGraph, w: VectorSpace) -> GroupGraph:
 
 def support(g: GroupGraph) -> list:
     """Stars with a nontrivial object, vertices first then edges, sorted."""
-    return [s for s in g.stars() if not obj_is_trivial(g.obj(s))]
+    return [s for s in g.stars() if not g.obj(s).is_trivial()]
 
 
 def support_components(g: GroupGraph) -> list[list]:
@@ -978,7 +1023,7 @@ def is_regular(g: GroupGraph) -> tuple[bool, list[tuple[str, Edge]]]:
 
 def remove_offsupport_edges(g: GroupGraph) -> tuple[GroupGraph, GraphMorphism]:
     """Drop every edge carrying a trivial group; cohomology is unchanged."""
-    keep = [e for e in g.base.sorted_edges() if not obj_is_trivial(g.eobj[e])]
+    keep = [e for e in g.base.sorted_edges() if not g.eobj[e].is_trivial()]
     smaller = Graph(g.base.vertices, frozenset(keep))
     inclusion = GraphMorphism.inclusion(smaller, g.base)
     restricted, _ = pullback(inclusion, g)

@@ -6,6 +6,7 @@ description of H1 of a regular group-graph, and the tensor isomorphism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +27,12 @@ from .cohomology import (
 )
 from .graph import Edge, Graph, GraphMorphism, Tree, contract, edge_key, subtree_parents
 from .group_graph import (
+    BudgetExceeded,
     GroupGraph,
     GroupGraphError,
     GroupGraphMorphism,
     SubGroupGraph,
+    VectorSpace,
     direct_image,
     is_regular,
     pullback,
@@ -143,8 +146,8 @@ def quotient_lift(
 ) -> Cochain0:
     """Realize the inductive proof: produce a vertex family (k_v) with
     (k_v) acting on z giving exactly h, for two cocycles whose projections are
-    cohomologous.  The induction runs over distances to the lexicographically
-    smallest root."""
+    cohomologous.  The induction runs outward from the lexicographically
+    smallest root, each vertex after its parent."""
     base = g.base
     vs = base.sorted_vertices()
     edges = base.sorted_edges()
@@ -163,30 +166,13 @@ def quotient_lift(
     # lift the quotient family and solve for the edge correction in the kernel
     gv = {v: _min_preimage(proj.maps[v].data, cbar[v]) for v in vs}
 
-    Tree(base)  # the induction needs unique parent edges
+    # the induction needs unique parent edges; visit order is parent-first
     root = min(vs)
-    dist = {root: 0}
-    order = [root]
-    parent_edge: dict[str, tuple[str, Edge]] = {}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for n in base.neighbors(u):
-                if n not in dist:
-                    dist[n] = dist[u] + 1
-                    parent_edge[n] = (u, (min(u, n), max(u, n)))
-                    order.append(n)
-                    nxt.append(n)
-        frontier = nxt
-
-    def oriented(e: Edge) -> tuple[str, str]:
-        a, b = e
-        return (a, b) if dist[a] < dist[b] else (b, a)
+    parent = subtree_parents(Tree(base), {root})
 
     ge = {}
     for e in edges:
-        v, w = oriented(e)
+        v, w = e if parent[e[1]] == e[0] else e[::-1]  # v is w's parent
         grp = g.eobj[e]
         rv = g.restriction(v, e).apply(gv[v])
         rw = g.restriction(w, e).apply(gv[w])
@@ -197,8 +183,10 @@ def quotient_lift(
 
     kv = {root: gv[root]}
     fprime = {root: 0}
-    for w in order[1:]:
-        par, e_w = parent_edge[w]
+    for w, par in parent.items():
+        if par is None:
+            continue
+        e_w = (min(par, w), max(par, w))
         grp_e = g.eobj[e_w]
         grp_w = g.vobj[w]
         rho_w = g.restriction(w, e_w)
@@ -455,19 +443,11 @@ def _delta_cocycle(g: GroupGraph, st: ActiveStructure, assignment: dict) -> Cocy
             va = st.active_vertex[e]
             other = b if va == a else a
             x = assignment[e]
-            if g.carrier == "finite":
-                values[(va, e)] = g.eobj[e].inv(x)
-                values[(other, e)] = x
-            else:
-                values[(va, e)] = linalg.vec_neg(x)
-                values[(other, e)] = x
+            values[(va, e)] = g.eobj[e].inv(x)
+            values[(other, e)] = x
         else:
-            if g.carrier == "finite":
-                values[(a, e)] = 0
-                values[(b, e)] = 0
-            else:
-                values[(a, e)] = [Fraction(0)] * g.eobj[e].dim
-                values[(b, e)] = [Fraction(0)] * g.eobj[e].dim
+            values[(a, e)] = g.eobj[e].identity()
+            values[(b, e)] = g.eobj[e].identity()
     return Cocycle1(g, values)
 
 
@@ -510,14 +490,10 @@ def regular_h1(
         for e in st.a_prime:
             count *= g.eobj[e].order
         if count > budget:
-            from .group_graph import BudgetExceeded
-
             raise BudgetExceeded(
                 f"active-edge class enumeration of size {count} exceeds budget {budget}",
                 {"candidates": count, "budget": budget},
             )
-        import itertools
-
         reps = []
         for combo in itertools.product(*(range(g.eobj[e].order) for e in st.a_prime)):
             reps.append(_delta_cocycle(g, st, dict(zip(st.a_prime, combo))))
@@ -546,8 +522,6 @@ def equidimensional_support_dim(g: GroupGraph) -> int | None:
 def tensor_h1_verify(t: GroupGraph, w_dim: int) -> bool:
     """dim H1(T tensor W) must factor as dim H1(T) * dim W, with the basis
     correspondence realized explicitly."""
-    from .group_graph import VectorSpace
-
     base_res = h1_vector(t)
     tens = tensor(t, VectorSpace(w_dim))
     tens_res = h1_vector(tens)

@@ -293,6 +293,12 @@ MALFORMED = [
     ("edge-tdim-true", SEG, ("edges", "D1#D2", "tdim"), True, 2, "red edge needs tdim 0 or 1"),
     ("red-vertex-no-tdim", SEG, ("vertices", "D1", "holonomy"), {}, 2,
      "vertex D1: infinite holonomy needs tdim 0 or 1"),
+    ("vertex-outside-tree", T4, ("vertices", "D9"), {"kind": "dicritical"}, 2,
+     "vertex D9: not in the tree"),
+    ("edge-outside-tree", T4, ("edges", "D1#Z9"), {"kind": "singular"}, 2,
+     "edge D1#Z9: not in the tree"),
+    ("holonomy-off-endpoint", T4, ("edges", "D1#D2", "holonomy", "D9"),
+     {"periodic": True, "order": 2}, 2, "edge D1#D2: holonomy at D9, which is not an endpoint"),
 ]
 
 
@@ -324,3 +330,60 @@ def test_emitted_group_graph_json_reparses(tmp_path):
     rep = json.loads(r.stdout)
     gg = GroupGraph.from_json(rep["tf_red"])
     assert gg.carrier == "vector"
+
+
+SIZE = {"finite": ("order",), "vector": ("dim",)}
+ENTRY = {"finite": ("map", 1), "vector": ("matrix", 0, 0)}
+DELETE = object()
+MALFORMED_GROUP_GRAPHS = [
+    # (id, path to the replaced value, replacement); SIZE and ENTRY stand for
+    # the carrier's own keys
+    ("top-level-list", (), []),
+    ("no-carrier", ("carrier",), DELETE),
+    ("carrier-typo", ("carrier",), "vectr"),
+    ("carrier-list", ("carrier",), ["finite"]),
+    ("no-base", ("base",), DELETE),
+    ("no-vertices", ("vertices",), DELETE),
+    ("no-edges", ("edges",), DELETE),
+    ("no-restrictions", ("restrictions",), DELETE),
+    ("base-list", ("base",), []),
+    ("vertices-list", ("vertices",), []),
+    ("vertex-int", ("vertices", "a"), 5),
+    ("edge-string", ("edges", "a#b"), "Z2"),
+    ("restriction-list", ("restrictions", "a|a#b"), [1]),
+    ("restriction-unknown-vertex", ("restrictions", "z|a#b"), {"map": [0, 1]}),
+    ("size-missing", ("vertices", "a", SIZE), DELETE),
+    ("size-true", ("vertices", "a", SIZE), True),
+    ("size-string", ("vertices", "a", SIZE), "2"),
+    ("size-float", ("vertices", "a", SIZE), 1.5),
+    ("entry-float", ("restrictions", "a|a#b", ENTRY), 0.5),
+]
+
+
+@pytest.mark.parametrize("carrier", ["finite", "vector"])
+@pytest.mark.parametrize(
+    "path,value", [c[1:] for c in MALFORMED_GROUP_GRAPHS], ids=[c[0] for c in MALFORMED_GROUP_GRAPHS]
+)
+def test_malformed_group_graph_exits_with_a_message_not_a_traceback(
+    tmp_path, capsys, carrier, path, value
+):
+    from groupgraph.graph import Graph
+    from groupgraph.group_graph import VectorSpace, constant_group_graph, cyclic_group
+
+    obj = cyclic_group(2) if carrier == "finite" else VectorSpace(1)
+    data = constant_group_graph(Graph.make("ab", [("a", "b")]), obj).to_json()
+    keys = [k for key in path for k in (key[carrier] if isinstance(key, dict) else (key,))]
+    if not keys:
+        data = value
+    else:
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    code = cli.main(["cohomology", "--input", write_json(tmp_path / "gg.json", data)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("cannot read group-graph: ") and "Traceback" not in err

@@ -10,7 +10,11 @@ from groupgraph.generators import (
     automorphisms_of,
     group_pool,
     random_exact_sequence,
+    random_matrix,
     random_regular_finite,
+    random_regular_vector,
+    random_tree,
+    random_vector_group_graph,
 )
 from groupgraph.graph import Graph, GraphMorphism
 from groupgraph.group_graph import (
@@ -32,6 +36,7 @@ from groupgraph.cohomology import (
     Cocycle1,
     coboundary_action,
     h0,
+    h1_class_coordinates,
     h1_class_of,
     h1_finite_bruteforce,
     h1_map,
@@ -488,6 +493,134 @@ def test_orbit_enumerator_matches_slow_oracle():
         assert (witness, class_rep) == oracle_witnesses(gg)
         for t, fam in witness.items():
             assert _act_tail(gg, fam, class_rep[t]) == t
+        checked += 1
+    assert checked >= 300
+
+
+# --- H0 and H1 from the one difference map, against the slow oracles ----------------
+
+
+def _vertex_blocks(g):
+    offs, total = {}, 0
+    for v in g.base.sorted_vertices():
+        offs[v] = total
+        total += g.vobj[v].dim
+    return offs, total
+
+
+def oracle_h0_vector(g):
+    """The kernel of the difference map, its block matrix built inline."""
+    offs, total = _vertex_blocks(g)
+    rows = []
+    for e in g.base.sorted_edges():
+        a, b = e
+        ra, rb = g.restriction(a, e), g.restriction(b, e)
+        for i in range(g.eobj[e].dim):
+            row = [Fraction(0)] * total
+            for j in range(g.vobj[a].dim):
+                row[offs[a] + j] += ra.data[i][j]
+            for j in range(g.vobj[b].dim):
+                row[offs[b] + j] -= rb.data[i][j]
+            rows.append(row)
+    basis = linalg.kernel_basis(rows, total)
+    return [{v: vec[offs[v]: offs[v] + g.vobj[v].dim] for v in offs} for vec in basis]
+
+
+def oracle_h0_finite(g):
+    """Every vertex family, kept when it is compatible on every edge."""
+    vs = g.base.sorted_vertices()
+    found = []
+    for t in itertools.product(*(range(g.vobj[v].order) for v in vs)):
+        fam = dict(zip(vs, t))
+        if all(
+            g.restriction(e[0], e).apply(fam[e[0]]) == g.restriction(e[1], e).apply(fam[e[1]])
+            for e in g.base.sorted_edges()
+        ):
+            found.append(fam)
+    return found
+
+
+def _coboundary_matrix(g):
+    """Matrix of the coboundary into tail coordinates of Z1 (vector carrier)."""
+    voffs, vtotal = _vertex_blocks(g)
+    eoffs, etotal = {}, 0
+    for e in g.base.sorted_edges():
+        eoffs[e] = etotal
+        etotal += g.eobj[e].dim
+    m = linalg.zeros(etotal, vtotal)
+    for e in g.base.sorted_edges():
+        a, b = e  # tail a: value rho_b(c_b) - rho_a(c_a)
+        ra, rb = g.restriction(a, e), g.restriction(b, e)
+        for i in range(g.eobj[e].dim):
+            for j in range(g.vobj[b].dim):
+                m[eoffs[e] + i][voffs[b] + j] += rb.data[i][j]
+            for j in range(g.vobj[a].dim):
+                m[eoffs[e] + i][voffs[a] + j] -= ra.data[i][j]
+    return m, etotal
+
+
+def oracle_h1_vector(g):
+    """(dim, basis tail vectors, image basis) from the coboundary matrix."""
+    m, etotal = _coboundary_matrix(g)
+    cols = linalg.transpose(m, None) if m else []
+    im_basis = linalg.row_space_basis(cols) if cols else []
+    im_basis = [v for v in im_basis if any(x != 0 for x in v)]
+    free = linalg.extend_to_basis(im_basis, etotal)
+    basis = [[Fraction(1 if j == i else 0) for j in range(etotal)] for i in free]
+    return etotal - len(im_basis), basis, im_basis
+
+
+def _vector_cycle(rng):
+    """A cycle of 3 to 5 vertices with random dimensions and matrices."""
+    n = rng.randint(3, 5)
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    g = Graph.make(names, edges)
+    vdims = {v: rng.randint(0, 2) for v in names}
+    edims = {e: rng.randint(0, 2) for e in g.edges}
+    mats = {(v, e): random_matrix(rng, edims[e], vdims[v]) for v, e in g.incidences()}
+    return vector_gg(names, edges, vdims, edims, mats)
+
+
+def _vector_instances():
+    for seed in range(250):
+        rng = random.Random(3000 + seed)
+        yield random_vector_group_graph(rng, random_tree(rng, rng.randint(1, 6)))
+    for seed in range(150):
+        yield random_regular_vector(random.Random(4000 + seed), max_vertices=6)
+    for seed in range(200):
+        yield _vector_cycle(random.Random(5000 + seed))
+
+
+def test_difference_map_matches_slow_oracles():
+    checked = 0
+    for gg in _vector_instances():
+        assert [c.values for c in h0(gg).basis] == oracle_h0_vector(gg)
+        res = h1_vector(gg)
+        dim, basis, im_basis = oracle_h1_vector(gg)
+        assert res.dim == dim
+        assert [b.tail_vector() for b in res.basis] == basis
+        assert res._im_basis == im_basis
+        # a combination of basis classes moved by a coboundary keeps its coordinates
+        rng = random.Random(checked)
+        for _ in range(2):
+            coords = [Fraction(rng.randint(-3, 3)) for _ in res.basis]
+            tail = {
+                e: [sum((a * b.values[(e[0], e)][i] for a, b in zip(coords, res.basis)), Fraction(0))
+                    for i in range(gg.eobj[e].dim)]
+                for e in gg.base.sorted_edges()
+            }
+            c = Cochain0(gg, {
+                v: [Fraction(rng.randint(-3, 3)) for _ in range(gg.vobj[v].dim)]
+                for v in gg.base.vertices
+            })
+            z = coboundary_action(c, Cocycle1.from_tail_values(gg, tail), gg)
+            assert h1_class_coordinates(res, z) == coords
+        checked += 1
+    assert checked >= 600
+    checked = 0
+    for gg in _oracle_instances():
+        assert [c.values for c in h0(gg).elements] == oracle_h0_finite(gg)
         checked += 1
     assert checked >= 300
 

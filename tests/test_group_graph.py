@@ -1,9 +1,12 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import finite_gg, vector_gg
 from groupgraph import linalg
+from groupgraph.generators import group_pool
 from groupgraph.graph import Graph, GraphMorphism, Tree, contract
 from groupgraph.group_graph import (
     BudgetExceeded,
@@ -54,6 +57,27 @@ def test_cayley_table_validation():
     ]
     with pytest.raises(GroupGraphError):
         FiniteGroup(5, table)
+
+
+def _element(rng, obj):
+    if isinstance(obj, FiniteGroup):
+        return rng.randrange(obj.order)
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(obj.dim)]
+
+
+def test_carriers_answer_the_same_element_operations():
+    # the group laws and the value JSON round trip, through the shared methods only
+    rng = random.Random(11)
+    objs = [grp for _, grp in group_pool()] + [VectorSpace(d) for d in range(4)]
+    for obj in objs:
+        one = obj.identity()
+        for _ in range(30):
+            x, y, z = (_element(rng, obj) for _ in range(3))
+            assert obj.mul(one, x) == x == obj.mul(x, one)
+            assert obj.mul(x, obj.inv(x)) == one == obj.mul(obj.inv(x), x)
+            assert obj.mul(obj.mul(x, y), z) == obj.mul(x, obj.mul(y, z))
+            assert obj.value_from_json(json.loads(json.dumps(obj.value_to_json(x)))) == x
+    assert VectorSpace(2).value_to_json([Fraction(3), Fraction(-1, 2)]) == [3, "-1/2"]
 
 
 def test_group_helpers():
