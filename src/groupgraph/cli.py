@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 I/O or parse error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -347,9 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebound run_* function takes effect
+    run = {"analyze": run_analyze, "cohomology": run_cohomology, "selfcheck": run_selfcheck}
+    return run[args.command](args)
 
 
 if __name__ == "__main__":

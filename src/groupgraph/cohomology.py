@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .graph import edge_key, incidence_key, parse_incidence_key
@@ -138,7 +140,6 @@ class CohomologyResult:
     kind: str  # "h0" | "h1"
     carrier: str
     dim: int | None = None  # vector carrier
-    basis: list | None = None  # vector carrier: Cocycle1 (h1) or Cochain0 (h0)
     count: int | None = None  # finite carrier h1: number of classes
     representatives: list | None = None  # finite h1: canonical orbit minima
     order: int | None = None  # finite h0: subgroup order
@@ -146,7 +147,31 @@ class CohomologyResult:
     # internal cross-referencing state (not serialized)
     _graph: GroupGraph | None = field(default=None, repr=False)
     _class_index: dict | None = field(default=None, repr=False)
-    _im_basis: list | None = field(default=None, repr=False)
+    # vector carrier: returns (basis, image basis of B1 or None), called on the
+    # first read of `basis` or `_im_basis`
+    _build_bases: Callable[[], tuple[list, list | None]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def _bases(self) -> tuple[list | None, list | None]:
+        if self._build_bases is None:
+            return None, None
+        basis, im_basis = self._build_bases()
+        if len(basis) != self.dim:
+            raise RuntimeError(
+                f"basis of {len(basis)} vectors disagrees with dim {self.dim} (internal error)"
+            )
+        return basis, im_basis
+
+    @property
+    def basis(self) -> list | None:
+        """Vector carrier: Cocycle1 (h1) or Cochain0 (h0), built on first read."""
+        return self._bases[0]
+
+    @property
+    def _im_basis(self) -> list | None:
+        return self._bases[1]
 
     def size(self):
         """Uniform handle on the result size: dimension or class count."""
@@ -181,7 +206,9 @@ def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
             Cochain0(g, {v: vec[offs[v]: offs[v] + g.vobj[v].dim] for v in offs})
             for vec in basis
         ]
-        return CohomologyResult("h0", "vector", dim=len(basis), basis=cochains, _graph=g)
+        return CohomologyResult(
+            "h0", "vector", dim=len(basis), _graph=g, _build_bases=lambda: (cochains, None)
+        )
     tuples, vs = _h0_subgroup_finite(g, g.base, budget)
     found = [Cochain0(g, dict(zip(vs, t))) for t in tuples]
     return CohomologyResult("h0", "finite", order=len(found), elements=found, _graph=g)
@@ -195,22 +222,27 @@ def _tail_vector_to_cocycle(g: GroupGraph, vec, eoffs) -> Cocycle1:
 
 
 def h1_vector(g: GroupGraph) -> CohomologyResult:
-    """dim H1 = dim Z1 - rank of the coboundary; basis lifted through the
-    tail-coordinate identification.  B1 is the column space of the difference
-    map (the coboundary up to sign), read as the row space of its transpose."""
+    """dim H1 = dim Z1 - rank of the coboundary.  B1 is the column space of
+    the difference map (the coboundary up to sign), and its rank comes from
+    sparse elimination (`linalg.sparse_rank`).  The basis, lifted through the
+    tail-coordinate identification, and the image basis of B1 (the row space
+    of the transposed map) are built by dense rref on first read; their
+    length is checked against `dim` then."""
     if g.carrier != "vector":
         raise GroupGraphError("h1_vector requires the vector carrier")
     rows, _, ncols, eoffs = _difference_map(g, g.base)
     etotal = len(rows)
-    im_basis = linalg.row_space_basis(linalg.transpose(rows, ncols))
-    free = linalg.extend_to_basis(im_basis, etotal)
-    basis = []
-    for i in free:
-        vec = [Fraction(1 if j == i else 0) for j in range(etotal)]
-        basis.append(_tail_vector_to_cocycle(g, vec, eoffs))
+
+    def bases():
+        im_basis = linalg.row_space_basis(linalg.transpose(linalg.dense(rows, ncols), ncols))
+        basis = []
+        for i in linalg.extend_to_basis(im_basis, etotal):
+            vec = [Fraction(1 if j == i else 0) for j in range(etotal)]
+            basis.append(_tail_vector_to_cocycle(g, vec, eoffs))
+        return basis, im_basis
+
     return CohomologyResult(
-        "h1", "vector", dim=etotal - len(im_basis), basis=basis,
-        _graph=g, _im_basis=im_basis,
+        "h1", "vector", dim=etotal - linalg.sparse_rank(rows), _graph=g, _build_bases=bases
     )
 
 

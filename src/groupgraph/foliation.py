@@ -652,7 +652,9 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
         dim_active = 0
         for comp_vs, comp_es in connected_components(ctx.red):
             comp_graph = Graph(frozenset(comp_vs), frozenset(comp_es))
-            _, res = regular_h1(restrict(tf, comp_graph), crosscheck=False)
+            # restricting to the whole base is a pullback along the identity
+            comp_tf = tf if comp_graph == tf.base else restrict(tf, comp_graph)
+            _, res = regular_h1(comp_tf, crosscheck=False)
             dim_active += res.dim
         dim_rank = h1_vector(tf).dim
         dim_contracted = _contracted_rank(tf)

@@ -105,6 +105,8 @@ class FiniteGroup:
         return x
 
     def value_from_json(self, data) -> int:
+        if not (_is_int(data) and 0 <= data < self.order):
+            raise GroupGraphError(f"element {data!r} is not an index below {self.order}")
         return data
 
     def elements(self) -> range:
@@ -650,26 +652,24 @@ def _h0_subgroup_finite(g: GroupGraph, sub: Graph, budget: int):
 
 
 def _difference_map(g: GroupGraph, sub: Graph):
-    """Rows of the difference map c -> rho_a(c_a) - rho_b(c_b) over the sorted
-    edges (a, b) of a subgraph (vector carrier): one row per coordinate of G_e,
-    columns in blocks over the sorted vertices.  H0 is its kernel, and its
-    column space is B1 in tail coordinates.  Returns (rows, vertex offsets,
-    column count, edge offsets)."""
+    """Sparse rows ({column: nonzero}) of the difference map
+    c -> rho_a(c_a) - rho_b(c_b) over the sorted edges (a, b) of a subgraph
+    (vector carrier): one row per coordinate of G_e, columns in blocks over the
+    sorted vertices.  H0 is its kernel, and its column space is B1 in tail
+    coordinates.  Returns (rows, vertex offsets, column count, edge offsets);
+    `linalg.dense` turns the rows into a matrix."""
     voffs, ncols = {}, 0
     for v in sorted(sub.vertices):
         voffs[v] = ncols
         ncols += g.vobj[v].dim
     rows, eoffs = [], {}
     for e in sub.sorted_edges():
-        a, b = e
+        a, b = e  # distinct, so the two blocks do not overlap
         eoffs[e] = len(rows)
         ra, rb = g.restriction(a, e).data, g.restriction(b, e).data
         for i in range(g.eobj[e].dim):
-            row = [Fraction(0)] * ncols
-            for j in range(g.vobj[a].dim):
-                row[voffs[a] + j] += ra[i][j]
-            for j in range(g.vobj[b].dim):
-                row[voffs[b] + j] -= rb[i][j]
+            row = {voffs[a] + j: x for j, x in enumerate(ra[i]) if x}
+            row.update((voffs[b] + j, -x) for j, x in enumerate(rb[i]) if x)
             rows.append(row)
     return rows, voffs, ncols, eoffs
 
@@ -677,7 +677,7 @@ def _difference_map(g: GroupGraph, sub: Graph):
 def _h0_basis_vector(g: GroupGraph, sub: Graph):
     """Kernel basis of the difference map on a subgraph; returns (basis, vertex offsets)."""
     rows, offs, ncols, _ = _difference_map(g, sub)
-    return linalg.kernel_basis(rows, ncols), offs
+    return linalg.kernel_basis(linalg.dense(rows, ncols), ncols), offs
 
 
 def direct_image(

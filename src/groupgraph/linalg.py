@@ -7,10 +7,12 @@ here is exact: no tolerances anywhere.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, Fraction]  # column -> nonzero entry
 
 
 def frac(x) -> Fraction:
@@ -19,7 +21,7 @@ def frac(x) -> Fraction:
         return x
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):  # JSON true is not 1
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -102,6 +104,63 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
+
+
+def dense(rows: list[SparseRow], ncols: int) -> Matrix:
+    """Sparse rows as a dense matrix with ncols columns."""
+    out = []
+    for r in rows:
+        row = [Fraction(0)] * ncols
+        for j, x in r.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def sparse_rank(rows: list[SparseRow]) -> int:
+    """Rank of a matrix given as sparse rows, by exact forward elimination.
+
+    Each step pivots on a column with the fewest nonzero entries left (ties by
+    column index), in its shortest row (ties by row index), and clears the
+    column from the other rows.  On the difference map of a tree a leaf's
+    column has one entry, so the elimination peels leaves and creates no
+    fill-in (Parter, SIAM Review 3, 1961).  With cycles it stays exact, only
+    with fill-in.  Stale heap entries, whose count has changed since they
+    were pushed, are skipped.
+    """
+    rows = [dict(r) for r in rows]
+    col_rows: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+    heap = [(len(s), j) for j, s in col_rows.items()]
+    heapq.heapify(heap)
+    rk = 0
+    while heap:
+        count, j = heapq.heappop(heap)
+        live = col_rows[j]
+        if not live or count != len(live):
+            continue
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        for c in prow:
+            col_rows[c].discard(p)
+        for i in list(live):
+            r = rows[i]
+            f = r[j] / prow[j]
+            for c, x in prow.items():
+                y = r.get(c, 0) - f * x
+                if y:
+                    r[c] = y
+                    col_rows[c].add(i)
+                else:
+                    del r[c]
+                    col_rows[c].discard(i)
+        rk += 1
+        for c in prow:
+            if col_rows[c]:
+                heapq.heappush(heap, (len(col_rows[c]), c))
+    return rk
 
 
 def kernel_basis(m: Matrix, ncols: int) -> list[Vector]:

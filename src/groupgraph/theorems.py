@@ -411,12 +411,12 @@ def build_active_structure(g: GroupGraph, prefer_last: bool = False) -> ActiveSt
         nontrivial = [v for v in (a, b) if v in supp]
         active_vertex[e] = nontrivial[0] if nontrivial else pick_one(a, b)
 
-    comps = support_components(g)
+    active_set = set(active_edges)
     components = []
     chosen = {}
-    for comp in comps:
+    for comp in support_components(g):
         comp_edges = [s for s in comp if not isinstance(s, str)]
-        actives_here = [e for e in comp_edges if e in set(active_edges)]
+        actives_here = [e for e in comp_edges if e in active_set]
         entry = {
             "elements": comp,
             "active": bool(actives_here),
@@ -460,9 +460,9 @@ def regular_h1(
     """H1 of a regular group-graph over a tree via the active-edge description.
 
     Vector carrier: dimension is the total dimension over the reduced active
-    set, with the explicit basis; finite carrier: the class count is the
-    product of the active-edge group orders.  Cross-checked against the
-    generic pipelines unless disabled.
+    set; the explicit basis of delta cocycles is built on first read.  Finite
+    carrier: the class count is the product of the active-edge group orders.
+    Cross-checked against the generic pipelines unless disabled.
     """
     ok, violations = is_regular(g)
     if not ok:
@@ -472,13 +472,17 @@ def regular_h1(
 
     if g.carrier == "vector":
         dim = sum(g.eobj[e].dim for e in st.a_prime)
-        basis = []
-        for e in st.a_prime:
-            for i in range(g.eobj[e].dim):
-                unit = [Fraction(0)] * g.eobj[e].dim
-                unit[i] = Fraction(1)
-                basis.append(_delta_cocycle(g, st, {e: unit}))
-        result = CohomologyResult("h1", "vector", dim=dim, basis=basis, _graph=g)
+
+        def bases():
+            basis = []
+            for e in st.a_prime:
+                for i in range(g.eobj[e].dim):
+                    unit = [Fraction(0)] * g.eobj[e].dim
+                    unit[i] = Fraction(1)
+                    basis.append(_delta_cocycle(g, st, {e: unit}))
+            return basis, None
+
+        result = CohomologyResult("h1", "vector", dim=dim, _graph=g, _build_bases=bases)
         if crosscheck:
             ref = h1_vector(g)
             if ref.dim != dim:

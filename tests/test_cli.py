@@ -228,6 +228,37 @@ def test_analyze_validates_and_cuts_once(monkeypatch, tmp_path):
         assert calls["cut_graph"] == 1, (name, calls)
 
 
+def test_analyze_reads_dimensions_without_building_bases(monkeypatch, tmp_path):
+    from groupgraph import cohomology, linalg
+
+    calls = {"rref": 0, "Cocycle1": 0}
+    real_rref, real_init = linalg.rref, cohomology.Cocycle1.__init__
+
+    def rref(m):
+        calls["rref"] += 1
+        return real_rref(m)
+
+    def init(self, *args, **kwargs):
+        calls["Cocycle1"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    monkeypatch.setattr(cohomology.Cocycle1, "__init__", init)
+    out = tmp_path / "report.json"
+    code = cli.main(["analyze", "--input", str(FIXTURES / "active_red_segment.json"),
+                     "--output", str(out)])
+    assert code == 0
+    assert out.read_text() == (FIXTURES / "active_red_segment.report.json").read_text()
+    assert calls == {"rref": 0, "Cocycle1": 0}
+
+
+def test_parser_is_built_once_and_dispatch_follows_rebinding(monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "run_cohomology", lambda args: 42)
+    assert cli.main(["cohomology", "--input", "unused.json"]) == 42
+    assert cli._parser.cache_info().misses == 1
+
+
 def injected_type1_with_scan_fallbacks():
     """Red R; green A generates along A-R.  B and C fail, and their geodesics
     from R match no shape (A-B and A-C are not-iso on both sides); D fails on
@@ -357,6 +388,7 @@ MALFORMED_GROUP_GRAPHS = [
     ("size-string", ("vertices", "a", SIZE), "2"),
     ("size-float", ("vertices", "a", SIZE), 1.5),
     ("entry-float", ("restrictions", "a|a#b", ENTRY), 0.5),
+    ("entry-true", ("restrictions", "a|a#b", ENTRY), True),
 ]
 
 

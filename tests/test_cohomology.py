@@ -599,8 +599,11 @@ def test_difference_map_matches_slow_oracles():
         res = h1_vector(gg)
         dim, basis, im_basis = oracle_h1_vector(gg)
         assert res.dim == dim
+        assert "_bases" not in vars(res)  # dim comes from the sparse rank alone
         assert [b.tail_vector() for b in res.basis] == basis
         assert res._im_basis == im_basis
+        first = h1_vector(gg)  # the bases read before dim
+        assert [b.tail_vector() for b in first.basis] == basis and first.dim == dim
         # a combination of basis classes moved by a coboundary keeps its coordinates
         rng = random.Random(checked)
         for _ in range(2):
@@ -623,6 +626,14 @@ def test_difference_map_matches_slow_oracles():
         assert [c.values for c in h0(gg).elements] == oracle_h0_finite(gg)
         checked += 1
     assert checked >= 300
+
+
+def test_lazy_basis_is_checked_against_dim():
+    gg = _vector_cycle(random.Random(5001))
+    res = h1_vector(gg)
+    res.dim += 1  # a rank that disagrees with the dense basis
+    with pytest.raises(RuntimeError, match="disagrees with dim"):
+        res.basis
 
 
 # --- induced maps ---------------------------------------------------------------------
@@ -704,6 +715,16 @@ def test_cocycle_and_cochain_json_round_trip(segment_010):
     assert Cochain0.from_json(gg, c.to_json()).values == c.values
     zf = Cocycle1.from_tail_values(gg, {("a", "b"): 1})
     assert Cocycle1.from_json(gg, zf.to_json()).values == zf.values
+
+
+@pytest.mark.parametrize("bad", [7, 2, -1, "x", True, 1.0, None, [0]])
+def test_finite_cochain_json_rejects_values_outside_the_group(bad):
+    gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(2))
+    with pytest.raises(GroupGraphError):
+        Cochain0.from_json(gg, {"a": bad, "b": 0})
+    with pytest.raises(GroupGraphError):
+        Cocycle1.from_json(gg, {"a|a#b": bad, "b|a#b": 0})
+    assert Cochain0.from_json(gg, {"a": 1, "b": 0}).values == {"a": 1, "b": 0}
 
 
 def test_push_cocycle_inserts_identity_on_collapsed_edges():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from groupgraph import linalg
 
 
@@ -133,3 +135,67 @@ def test_frac_json_round_trip():
     encoded = [linalg.frac_to_json(v) for v in vals]
     assert encoded == [3, "1/2", -7]
     assert [linalg.frac(v) for v in encoded] == vals
+
+
+def test_frac_rejects_bool():
+    # JSON true is not the number 1
+    for x in (True, False, 0.5):
+        with pytest.raises(TypeError):
+            linalg.frac(x)
+
+
+def sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def tree_with_cycles(rng, n, extra):
+    """Difference-map shaped rows over a random tree on n vertices plus
+    `extra` random edges (cycles), with random nonzero coefficients."""
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(extra if n > 1 else 0)]
+    rows = []
+    for a, b in edges:
+        row = [F(0)] * n
+        row[a] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        row[b] = Fraction(rng.choice([-1, 1, 2]), rng.randint(1, 3))
+        rows.append(row)
+    return rows
+
+
+def test_sparse_rank_matches_dense_rank():
+    rng = random.Random(20611961)
+    cases = [[], [[]], [[], []], [[F(0)] * 4] * 3, linalg.zeros(2, 5), linalg.zeros(0, 3),
+             linalg.identity(5), [[F(1), F(2)], [F(2), F(4)]]]
+    cases += [linalg.zeros(0, n) for n in range(4)] + [linalg.zeros(n, 0) for n in range(4)]
+    # sparse and dependent rows (random_vectors mixes in combinations and zeros)
+    cases += [random_vectors(rng, rng.randint(1, 8)) for _ in range(300)]
+    cases += [[[Fraction(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)]
+              for _ in range(100) for r, c in [(rng.randint(1, 6), rng.randint(1, 6))]]
+    cases += [tree_with_cycles(rng, rng.randint(1, 12), extra)
+              for extra in (0, 0, 1, 2, 5) for _ in range(40)]
+    positive = 0
+    for m in cases:
+        want = linalg.rank(m)
+        assert linalg.sparse_rank(sparse(m)) == want, m
+        # the rank of the transpose is the same number
+        ncols = len(m[0]) if m else 0
+        assert linalg.sparse_rank(sparse(linalg.transpose(m, ncols))) == want, m
+        positive += want > 0
+    assert positive > 500
+
+
+def test_sparse_rank_keeps_its_input_and_densifies_back():
+    rows = [{0: F(1), 2: F(-1)}, {1: F(2)}, {}]
+    copy = [dict(r) for r in rows]
+    assert linalg.sparse_rank(rows) == 2
+    assert rows == copy
+    assert linalg.dense(rows, 3) == linalg.mat([[1, 0, -1], [0, 2, 0], [0, 0, 0]])
+    assert linalg.dense([], 3) == []
+
+
+def test_sparse_rank_on_a_long_path_is_fast_and_exact():
+    # a 20,000-vertex path: leaf-first pivots leave no fill-in
+    n = 20000
+    rows = [{i: F(1), i + 1: F(-1)} for i in range(n - 1)]
+    assert linalg.sparse_rank(rows) == n - 1
+    assert linalg.sparse_rank(rows + [{0: F(1), n - 1: F(-1)}]) == n - 1  # closing the cycle

@@ -420,6 +420,42 @@ def test_choice_independence_of_dimensions():
         assert res_first.count == res_last.count
 
 
+def per_edge_active_components(g, active_edges, prefer_last):
+    """Slow oracle: the component loop as first written, rebuilding the set of
+    active edges for every edge it tests."""
+    from groupgraph.group_graph import support_components
+
+    pick_one = max if prefer_last else min
+    components = []
+    for comp in support_components(g):
+        comp_edges = [s for s in comp if not isinstance(s, str)]
+        actives_here = [e for e in comp_edges if e in set(active_edges)]
+        single = len(comp) == 1 and bool(comp_edges)
+        chosen = pick_one(actives_here) if actives_here and not single else None
+        components.append({"elements": comp, "active": bool(actives_here),
+                           "single_edge": single, "chosen": chosen})
+    return components
+
+
+def test_build_active_structure_matches_per_edge_form():
+    from groupgraph.foliation import FoliationSpec, build_tf_red, validate
+    from groupgraph.generators import random_foliation_spec
+
+    graphs = [random_regular_vector(random.Random(700 + s), max_vertices=9) for s in range(60)]
+    graphs += [random_regular_finite(random.Random(800 + s), max_vertices=6) for s in range(40)]
+    for s in range(60):
+        spec = FoliationSpec.from_json(random_foliation_spec(random.Random(900 + s)))
+        if not validate(spec):
+            graphs.append(build_tf_red(spec))
+    assert len(graphs) > 120
+    for g in graphs:
+        for prefer_last in (False, True):
+            st = build_active_structure(g, prefer_last=prefer_last)
+            assert st.components == per_edge_active_components(g, st.active_edges, prefer_last)
+            removed = {c["chosen"] for c in st.components if c["chosen"]}
+            assert st.a_prime == [e for e in st.active_edges if e not in removed]
+
+
 def test_equidimensional_closed_form():
     from groupgraph.theorems import equidimensional_support_dim
 
