@@ -55,84 +55,68 @@ class Cochain0:
 
 
 class Cocycle1:
-    """An antisymmetric family (g_{v,e}) over the oriented incidences."""
+    """An antisymmetric family (g_{v,e}) over the oriented incidences, stored
+    as its tail: one value per edge of `g.base.sorted_edges()`, taken at the
+    edge's smaller endpoint.  The value at the other endpoint is the inverse
+    of the tail value, derived where it is needed."""
 
-    def __init__(self, g: GroupGraph, values: dict, validate: bool = True):
+    def __init__(self, g: GroupGraph, tail):
         self.graph = g
-        self.values = dict(values)
-        if validate:
-            if set(self.values) != set(g.base.incidences()):
-                raise GroupGraphError("cocycle is not total over the incidences")
-            for e in g.base.sorted_edges():
-                a, b = e
-                grp = g.eobj[e]
-                if grp.mul(self.values[(a, e)], self.values[(b, e)]) != grp.identity():
-                    raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
-
-    @staticmethod
-    def from_tail_values(g: GroupGraph, tail: dict) -> "Cocycle1":
-        """Build a cocycle from one value per edge at the tail incidence."""
-        values = {}
-        for e in g.base.sorted_edges():
-            a, b = e  # a < b is the tail
-            values[(a, e)] = tail[e]
-            values[(b, e)] = g.eobj[e].inv(tail[e])
-        return Cocycle1(g, values, validate=False)
+        self.tail = tuple(tail)
+        if len(self.tail) != len(g.base.edges):
+            raise GroupGraphError("cocycle is not total over the edges")
 
     @staticmethod
     def trivial(g: GroupGraph) -> "Cocycle1":
-        return Cocycle1.from_tail_values(
-            g, {e: g.eobj[e].identity() for e in g.base.sorted_edges()}
-        )
-
-    def tail_tuple(self) -> tuple:
-        """Canonical form: tail values over sorted edges (finite carrier)."""
-        return tuple(self.values[(e[0], e)] for e in self.graph.base.sorted_edges())
-
-    def tail_vector(self) -> list[Fraction]:
-        """Concatenated tail values over sorted edges (vector carrier)."""
-        out: list[Fraction] = []
-        for e in self.graph.base.sorted_edges():
-            out.extend(self.values[(e[0], e)])
-        return out
+        return Cocycle1(g, (g.eobj[e].identity() for e in g.base.sorted_edges()))
 
     def is_trivial(self) -> bool:
         eobj = self.graph.eobj
-        return all(
-            self.values[(e[0], e)] == eobj[e].identity() for e in self.graph.base.sorted_edges()
-        )
+        edges = self.graph.base.sorted_edges()
+        return all(x == eobj[e].identity() for e, x in zip(edges, self.tail))
 
     def to_json(self) -> dict:
+        """Both incidences of every edge, the head value as the tail's inverse."""
         eobj = self.graph.eobj
+        values = {}
+        for e, x in zip(self.graph.base.sorted_edges(), self.tail):
+            values[(e[0], e)] = x
+            values[(e[1], e)] = eobj[e].inv(x)
         return {
-            incidence_key(v, e): eobj[e].value_to_json(x)
-            for (v, e), x in sorted(self.values.items())
+            incidence_key(v, e): eobj[e].value_to_json(x) for (v, e), x in sorted(values.items())
         }
 
     @staticmethod
     def from_json(g: GroupGraph, data: dict) -> "Cocycle1":
+        """Read both incidences of every edge; a head value that is not the
+        inverse of its tail value raises GroupGraphError."""
         raw = {parse_incidence_key(key): x for key, x in data.items()}
         if set(raw) != set(g.base.incidences()):
             raise GroupGraphError("cocycle is not total over the incidences")
-        return Cocycle1(g, {(v, e): g.eobj[e].value_from_json(x) for (v, e), x in raw.items()})
+        tail = []
+        for e in g.base.sorted_edges():
+            grp = g.eobj[e]
+            x, y = (grp.value_from_json(raw[(v, e)]) for v in e)
+            if grp.mul(x, y) != grp.identity():
+                raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
+            tail.append(x)
+        return Cocycle1(g, tail)
 
 
 def coboundary_action(c: Cochain0, z: Cocycle1, g: GroupGraph) -> Cocycle1:
-    """Act by a vertex family: conjugate-translate each incidence value.
-
-    The output is built per incidence and its antisymmetry is asserted.
-    """
+    """Act by a vertex family: t -> rho_a(c_a)^-1 t rho_b(c_b) on the tail
+    value t of every edge (a, b)."""
     if c.graph is not g or z.graph is not g:
         if c.graph.to_json() != g.to_json() or z.graph.to_json() != g.to_json():
             raise GroupGraphError("shape mismatch between cochain, cocycle and group-graph")
-    values = {}
-    for e in g.base.sorted_edges():
-        for v, w in (e, (e[1], e[0])):
-            rv = g.restriction(v, e).apply(c.values[v])
-            rw = g.restriction(w, e).apply(c.values[w])
-            grp = g.eobj[e]
-            values[(v, e)] = grp.mul(grp.mul(grp.inv(rv), z.values[(v, e)]), rw)
-    return Cocycle1(g, values)  # validation asserts antisymmetry on every output
+    tail = []
+    for e, x in zip(g.base.sorted_edges(), z.tail):
+        a, b = e
+        grp = g.eobj[e]
+        ra = g.restriction(a, e).apply(c.values[a])
+        rb = g.restriction(b, e).apply(c.values[b])
+        tail.append(grp.mul(grp.mul(grp.inv(ra), x), rb))
+    return Cocycle1(g, tail)
 
 
 @dataclass
@@ -214,20 +198,13 @@ def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
     return CohomologyResult("h0", "finite", order=len(found), elements=found, _graph=g)
 
 
-def _tail_vector_to_cocycle(g: GroupGraph, vec, eoffs) -> Cocycle1:
-    tail = {}
-    for e in g.base.sorted_edges():
-        tail[e] = list(vec[eoffs[e]: eoffs[e] + g.eobj[e].dim])
-    return Cocycle1.from_tail_values(g, tail)
-
-
 def h1_vector(g: GroupGraph) -> CohomologyResult:
     """dim H1 = dim Z1 - rank of the coboundary.  B1 is the column space of
     the difference map (the coboundary up to sign), and its rank comes from
-    sparse elimination (`linalg.sparse_rank`).  The basis, lifted through the
-    tail-coordinate identification, and the image basis of B1 (the row space
-    of the transposed map) are built by dense rref on first read; their
-    length is checked against `dim` then."""
+    sparse elimination (`linalg.sparse_rank`).  The basis (unit vectors in the
+    concatenated tail coordinates, split into per-edge tails) and the image
+    basis of B1 (the row space of the transposed map) are built by dense rref
+    on first read; their length is checked against `dim` then."""
     if g.carrier != "vector":
         raise GroupGraphError("h1_vector requires the vector carrier")
     rows, _, ncols, eoffs = _difference_map(g, g.base)
@@ -238,7 +215,7 @@ def h1_vector(g: GroupGraph) -> CohomologyResult:
         basis = []
         for i in linalg.extend_to_basis(im_basis, etotal):
             vec = [Fraction(1 if j == i else 0) for j in range(etotal)]
-            basis.append(_tail_vector_to_cocycle(g, vec, eoffs))
+            basis.append(Cocycle1(g, (vec[o: o + g.eobj[e].dim] for e, o in eoffs.items())))
         return basis, im_basis
 
     return CohomologyResult(
@@ -247,10 +224,14 @@ def h1_vector(g: GroupGraph) -> CohomologyResult:
 
 
 def h1_class_coordinates(result: CohomologyResult, z: Cocycle1) -> list[Fraction]:
-    """Coordinates of a cocycle class in the chosen H1 basis (vector carrier)."""
-    g = result._graph
-    vec = z.tail_vector()
-    basis_vecs = [b.tail_vector() for b in result.basis]
+    """Coordinates of a cocycle class in the chosen H1 basis (vector carrier),
+    solved on the tails concatenated over the sorted edges."""
+
+    def flat(c: Cocycle1) -> list[Fraction]:
+        return [x for value in c.tail for x in value]
+
+    vec = flat(z)
+    basis_vecs = [flat(b) for b in result.basis]
     span = basis_vecs + result._im_basis
     if not span:
         return []
@@ -348,8 +329,7 @@ def h1_finite_bruteforce(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> Co
     if g.carrier != "finite":
         raise GroupGraphError("h1_finite_bruteforce requires the finite carrier")
     reps, class_index, _ = _orbits(g, budget)
-    edges = g.base.sorted_edges()
-    rep_cocycles = [Cocycle1.from_tail_values(g, dict(zip(edges, rep))) for rep in reps]
+    rep_cocycles = [Cocycle1(g, rep) for rep in reps]
     return CohomologyResult(
         "h1", "finite", count=len(reps), representatives=rep_cocycles,
         _graph=g, _class_index=class_index,
@@ -359,21 +339,27 @@ def h1_finite_bruteforce(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> Co
 def h1_class_of(result: CohomologyResult, z: Cocycle1) -> int:
     if result._class_index is None:
         raise GroupGraphError("result carries no class index")
-    return result._class_index[z.tail_tuple()]
+    return result._class_index[z.tail]
 
 
 def push_cocycle(m: GroupGraphMorphism, z: Cocycle1) -> Cocycle1:
-    """Push a cocycle on the source through the morphism; collapsed edges get 1."""
-    g2 = m.target
-    values = {}
-    for v, e in g2.base.incidences():
+    """Push a cocycle on the source through the morphism; collapsed edges get 1.
+
+    The tail value of an edge (a, b) is the image of the source value at the
+    incidence (over(a), over(e)): the tail value there, or its inverse."""
+    g, g2 = m.source, m.target
+    pos = {e: i for i, e in enumerate(g.base.sorted_edges())}
+    tail = []
+    for e in g2.base.sorted_edges():
         img_e = m.over.apply_edge(e)
         if isinstance(img_e, str):
-            values[(v, e)] = g2.eobj[e].identity()
-        else:
-            img_v = m.over.apply(v)
-            values[(v, e)] = m.maps[e].apply(z.values[(img_v, img_e)])
-    return Cocycle1(g2, values)
+            tail.append(g2.eobj[e].identity())
+            continue
+        x = z.tail[pos[img_e]]
+        if m.over.apply(e[0]) != img_e[0]:
+            x = g.eobj[img_e].inv(x)
+        tail.append(m.maps[e].apply(x))
+    return Cocycle1(g2, tail)
 
 
 @dataclass

@@ -85,9 +85,6 @@ class Graph:
             out.append((e[1], e))
         return out
 
-    def incident_edges(self, v: str) -> list[Edge]:
-        return [e for e in self.sorted_edges() if v in e]
-
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         # Built on first use and stored in the instance __dict__, which the
@@ -114,9 +111,6 @@ class Graph:
                     parent[n] = cur
                     order.append(n)
         return parent
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
 
     def subgraph(self, vertices, edges) -> "Graph":
         sub = Graph.make(vertices, edges)

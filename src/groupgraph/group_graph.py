@@ -298,7 +298,12 @@ class VectorSpace:
         return [linalg.frac_to_json(c) for c in x]
 
     def value_from_json(self, data) -> list[Fraction]:
-        return [linalg.frac(c) for c in data]
+        try:
+            if isinstance(data, list) and len(data) == self.dim:
+                return [linalg.frac(c) for c in data]
+        except (TypeError, ValueError):
+            pass
+        raise GroupGraphError(f"value {data!r} is not a list of {self.dim} rationals")
 
     def is_trivial(self) -> bool:
         return self.dim == 0
@@ -391,7 +396,9 @@ class GroupHom:
         return linalg.rank(self.data) == self.source.dim
 
     def is_iso(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        if self.kind == "finite":
+            return self.is_surjective() and self.is_injective()
+        return self.source.dim == self.target.dim and self.is_injective()  # one rank
 
     def kernel(self):
         """Finite: sorted element indices.  Vector: a basis of the null space."""
@@ -871,39 +878,6 @@ class SubGroupGraph:
         if self.parent.carrier == "finite":
             return all(len(self.subs[s]) == self.parent.obj(s).order for s in self.subs)
         return all(len(self.subs[s]) == self.parent.obj(s).dim for s in self.subs)
-
-    def as_group_graph(self) -> GroupGraph:
-        """Materialize the sub as its own group-graph (used by verifier suites)."""
-        p = self.parent
-        if p.carrier == "finite":
-            made = {s: p.obj(s).subgroup(self.subs[s]) for s in self.subs}
-            vobj = {v: made[v][0] for v in p.base.vertices}
-            eobj = {e: made[e][0] for e in p.base.edges}
-            restrictions = {}
-            for v, e in p.base.incidences():
-                _, incl_v = made[v]
-                sub_e, incl_e = made[e]
-                back = {x: i for i, x in enumerate(incl_e)}
-                rho = p.restriction(v, e)
-                restrictions[(v, e)] = GroupHom(
-                    vobj[v], eobj[e], [back[rho.apply(x)] for x in incl_v], validate=False
-                )
-            return GroupGraph(p.base, "finite", vobj, eobj, restrictions)
-        vobj = {v: VectorSpace(len(self.subs[v])) for v in p.base.vertices}
-        eobj = {e: VectorSpace(len(self.subs[e])) for e in p.base.edges}
-        restrictions = {}
-        for v, e in p.base.incidences():
-            rho = p.restriction(v, e)
-            cols = []
-            for vec in self.subs[v]:
-                img = rho.apply(vec)
-                coords = linalg.solve(
-                    linalg.transpose(self.subs[e], p.obj(e).dim), img, len(self.subs[e])
-                )
-                cols.append(coords)
-            m = [[cols[j][i] for j in range(len(cols))] for i in range(len(self.subs[e]))]
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
-        return GroupGraph(p.base, "vector", vobj, eobj, restrictions)
 
 
 def full_sub(g: GroupGraph) -> SubGroupGraph:

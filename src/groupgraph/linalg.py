@@ -20,7 +20,10 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:  # "1/0" is a string, not a rational
+            raise ValueError(f"not an exact rational: {x!r}") from None
     if isinstance(x, int) and not isinstance(x, bool):  # JSON true is not 1
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -67,10 +70,6 @@ def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return [a - b for a, b in zip(u, v)]
 
 
 def vec_neg(u: Vector) -> Vector:

@@ -156,7 +156,7 @@ def quotient_lift(
     pz = push_cocycle(proj, z)
     ph = push_cocycle(proj, h)
     witness, class_rep = quotient_witness
-    tz, th = pz.tail_tuple(), ph.tail_tuple()
+    tz, th = pz.tail, ph.tail
     if class_rep[tz] != class_rep[th]:
         raise HypothesisViolated("projected cocycles are not cohomologous", [])
     # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph
@@ -170,14 +170,21 @@ def quotient_lift(
     root = min(vs)
     parent = subtree_parents(Tree(base), {root})
 
+    pos = {e: i for i, e in enumerate(edges)}
+
+    def at(c: Cocycle1, v: str, e: Edge) -> int:
+        """The value of c at the incidence (v, e)."""
+        x = c.tail[pos[e]]
+        return x if v == e[0] else g.eobj[e].inv(x)
+
     ge = {}
     for e in edges:
         v, w = e if parent[e[1]] == e[0] else e[::-1]  # v is w's parent
         grp = g.eobj[e]
         rv = g.restriction(v, e).apply(gv[v])
         rw = g.restriction(w, e).apply(gv[w])
-        expr = grp.mul(grp.mul(grp.inv(rv), z.values[(v, e)]), rw)
-        ge[e] = grp.mul(grp.inv(expr), h.values[(v, e)])
+        expr = grp.mul(grp.mul(grp.inv(rv), at(z, v, e)), rw)
+        ge[e] = grp.mul(grp.inv(expr), at(h, v, e))
         if ge[e] not in k.subs[e]:
             raise VerificationError("edge correction left the kernel sub-group-graph")
 
@@ -194,7 +201,7 @@ def quotient_lift(
         rho_w_table = [rho_w.apply(x) for x in range(grp_w.order)]
         gprime_w = _min_preimage(rho_w_table, ge[e_w], domain=sorted(k.subs[w]))
         gg = grp_e.mul(
-            grp_e.mul(grp_e.inv(rho_par.apply(kv[par])), z.values[(par, e_w)]),
+            grp_e.mul(grp_e.inv(rho_par.apply(kv[par])), at(z, par, e_w)),
             rho_w.apply(grp_w.mul(gv[w], gprime_w)),
         )
         tilde = grp_e.mul(grp_e.mul(grp_e.inv(gg), rho_par.apply(fprime[par])), gg)
@@ -204,7 +211,7 @@ def quotient_lift(
 
     cochain = Cochain0(g, kv)
     acted = coboundary_action(cochain, z, g)
-    if acted.tail_tuple() != h.tail_tuple():
+    if acted.tail != h.tail:
         raise VerificationError("constructive lift failed to trivialize the pair")
     return cochain
 
@@ -238,10 +245,9 @@ def quotient_iso_verify(
     if require_tree:
         qw = _orbit_witnesses(quo, budget)
         src = mp.source_result
-        edges = g.base.sorted_edges()
         # every cocycle against its class representative, class by class
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
-            other = Cocycle1.from_tail_values(g, dict(zip(edges, t)))
+            other = Cocycle1(g, t)
             try:
                 quotient_lift(g, k, proj, src.representatives[c], other, qw)
                 lifted += 1
@@ -287,17 +293,13 @@ def direct_image_verify(
             for jcol in range(mp.source_result.dim or 0)
         ]
         flat_coords = []
-        for e in edges:
+        for idx, e in enumerate(edges):
             if e in collapsed:
                 continue
             for i in range(g.eobj[e].dim):
-                tail = {
-                    f: [Fraction(0)] * g.eobj[f].dim for f in edges
-                }
-                tail[e][i] = Fraction(1)
-                flat_coords.append(
-                    h1_class_coordinates(tgt, Cocycle1.from_tail_values(g, tail))
-                )
+                tail = [[Fraction(0)] * g.eobj[f].dim for f in edges]
+                tail[idx][i] = Fraction(1)
+                flat_coords.append(h1_class_coordinates(tgt, Cocycle1(g, tail)))
         r_img = linalg.rank(image_cols)
         r_flat = linalg.rank(flat_coords)
         r_both = linalg.rank(image_cols + flat_coords)
@@ -436,19 +438,16 @@ def build_active_structure(g: GroupGraph, prefer_last: bool = False) -> ActiveSt
 def _delta_cocycle(g: GroupGraph, st: ActiveStructure, assignment: dict) -> Cocycle1:
     """The basis realization: inverse at the active vertex, the value at the
     other endpoint, trivial elsewhere."""
-    values = {}
+    tail = []
     for e in g.base.sorted_edges():
-        a, b = e
-        if e in assignment:
-            va = st.active_vertex[e]
-            other = b if va == a else a
-            x = assignment[e]
-            values[(va, e)] = g.eobj[e].inv(x)
-            values[(other, e)] = x
+        grp = g.eobj[e]
+        if e not in assignment:
+            tail.append(grp.identity())
+        elif st.active_vertex[e] == e[0]:
+            tail.append(grp.inv(assignment[e]))
         else:
-            values[(a, e)] = g.eobj[e].identity()
-            values[(b, e)] = g.eobj[e].identity()
-    return Cocycle1(g, values)
+            tail.append(assignment[e])
+    return Cocycle1(g, tail)
 
 
 def regular_h1(
@@ -534,13 +533,11 @@ def tensor_h1_verify(t: GroupGraph, w_dim: int) -> bool:
     coords = []
     for b in base_res.basis or []:
         for jcol in range(w_dim):
-            tail = {}
-            for e in t.base.sorted_edges():
-                d = t.eobj[e].dim
-                vec = [Fraction(0)] * (d * w_dim)
-                src = b.values[(e[0], e)]
-                for i in range(d):
-                    vec[i * w_dim + jcol] = src[i]
-                tail[e] = vec
-            coords.append(h1_class_coordinates(tens_res, Cocycle1.from_tail_values(tens, tail)))
+            tail = []
+            for src in b.tail:
+                vec = [Fraction(0)] * (len(src) * w_dim)
+                for i, x in enumerate(src):
+                    vec[i * w_dim + jcol] = x
+                tail.append(vec)
+            coords.append(h1_class_coordinates(tens_res, Cocycle1(tens, tail)))
     return linalg.rank(coords) == tens_res.dim

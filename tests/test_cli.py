@@ -389,6 +389,7 @@ MALFORMED_GROUP_GRAPHS = [
     ("size-float", ("vertices", "a", SIZE), 1.5),
     ("entry-float", ("restrictions", "a|a#b", ENTRY), 0.5),
     ("entry-true", ("restrictions", "a|a#b", ENTRY), True),
+    ("entry-zero-denominator", ("restrictions", "a|a#b", ENTRY), "1/0"),
 ]
 
 

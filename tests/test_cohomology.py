@@ -9,22 +9,26 @@ from groupgraph import linalg
 from groupgraph.generators import (
     automorphisms_of,
     group_pool,
+    random_connected_subset,
     random_exact_sequence,
+    random_finite_group_graph,
     random_matrix,
     random_regular_finite,
     random_regular_vector,
     random_tree,
     random_vector_group_graph,
 )
-from groupgraph.graph import Graph, GraphMorphism
+from groupgraph.graph import Graph, GraphMorphism, Tree, contract
 from groupgraph.group_graph import (
     BudgetExceeded,
     GroupGraphError,
     GroupGraphMorphism,
     GroupHom,
+    VectorSpace,
     constant_group_graph,
     cyclic_group,
     dihedral_group,
+    direct_image,
     pullback,
     quotient_with_projection,
     remove_offsupport_edges,
@@ -94,9 +98,9 @@ def small_finite_instance():
 
 def test_action_identity_cochain_fixes_cocycles():
     gg = small_finite_instance()
-    z = Cocycle1.from_tail_values(gg, {("a", "b"): 1})
+    z = Cocycle1(gg, (1,))
     c = Cochain0(gg, {"a": 0, "b": 0})
-    assert coboundary_action(c, z, gg).values == z.values
+    assert coboundary_action(c, z, gg).tail == z.tail
 
 
 def test_action_on_trivial_cocycle_is_coboundary():
@@ -106,8 +110,8 @@ def test_action_on_trivial_cocycle_is_coboundary():
     )
     c = Cochain0(gg, {"a": [Fraction(1)], "b": [Fraction(3)]})
     out = coboundary_action(c, Cocycle1.trivial(gg), gg)
-    assert out.values[("a", ("a", "b"))] == [Fraction(2)]  # g_b - g_a at the tail
-    assert out.values[("b", ("a", "b"))] == [Fraction(-2)]
+    assert out.tail == ([Fraction(2)],)  # g_b - g_a at the tail
+    assert out.to_json() == {"a|a#b": [2], "b|a#b": [-2]}
 
 
 def test_action_law_exhaustive_on_small_instance():
@@ -115,7 +119,7 @@ def test_action_law_exhaustive_on_small_instance():
     families = [
         Cochain0(gg, {"a": a, "b": b}) for a in range(4) for b in range(2)
     ]
-    cocycles = [Cocycle1.from_tail_values(gg, {("a", "b"): t}) for t in range(2)]
+    cocycles = [Cocycle1(gg, (t,)) for t in range(2)]
     for c1 in families:
         for c2 in families:
             prod = Cochain0(gg, {
@@ -124,14 +128,128 @@ def test_action_law_exhaustive_on_small_instance():
             for z in cocycles:
                 twice = coboundary_action(c2, coboundary_action(c1, z, gg), gg)
                 once = coboundary_action(prod, z, gg)
-                assert twice.values == once.values
+                assert twice.tail == once.tail
 
 
 def test_antisymmetry_is_enforced():
+    # a cocycle stores its tail; the head value is checked where it is read in
     gg = small_finite_instance()
-    e = ("a", "b")
-    with pytest.raises(GroupGraphError):
-        Cocycle1(gg, {("a", e): 1, ("b", e): 0})
+    with pytest.raises(GroupGraphError, match="antisymmetry fails at a#b"):
+        Cocycle1.from_json(gg, {"a|a#b": 1, "b|a#b": 0})
+
+
+# --- the tail-only action and push against the two-sided slow oracles ---------------
+
+
+def incidence_values(z):
+    """Both incidence values of a cocycle: the tail value and its inverse."""
+    g = z.graph
+    out = {}
+    for e, x in zip(g.base.sorted_edges(), z.tail):
+        out[(e[0], e)] = x
+        out[(e[1], e)] = g.eobj[e].inv(x)
+    return out
+
+
+def _assert_antisymmetric(g, values):
+    for e in g.base.sorted_edges():
+        grp = g.eobj[e]
+        assert grp.mul(values[(e[0], e)], values[(e[1], e)]) == grp.identity(), e
+
+
+def oracle_action(c, values, g):
+    """The two-sided action: the value at each incidence (v, e) of an edge
+    e = vw is rho_v(c_v)^-1 z_(v,e) rho_w(c_w), built from both ends, and the
+    output's antisymmetry is asserted."""
+    out = {}
+    for e in g.base.sorted_edges():
+        grp = g.eobj[e]
+        for v, w in (e, e[::-1]):
+            rv = g.restriction(v, e).apply(c.values[v])
+            rw = g.restriction(w, e).apply(c.values[w])
+            out[(v, e)] = grp.mul(grp.mul(grp.inv(rv), values[(v, e)]), rw)
+    _assert_antisymmetric(g, out)
+    return out
+
+
+def oracle_push(m, values):
+    """Every incidence of the target reads the source incidence it lies over;
+    collapsed edges get the identity.  Antisymmetry is asserted."""
+    g2 = m.target
+    out = {}
+    for v, e in g2.base.incidences():
+        img_e = m.over.apply_edge(e)
+        if isinstance(img_e, str):
+            out[(v, e)] = g2.eobj[e].identity()
+        else:
+            out[(v, e)] = m.maps[e].apply(values[(m.over.apply(v), img_e)])
+    _assert_antisymmetric(g2, out)
+    return out
+
+
+def _restriction_to_subtree(rng, g):
+    """The canonical morphism from g to its pullback on a random subtree."""
+    t = Tree(g.base)
+    sub = g.base.induced(random_connected_subset(rng, t, rng.randint(1, len(t.vertices))))
+    return pullback(GraphMorphism.inclusion(sub, g.base), g)[1]
+
+
+def _action_instances():
+    """(group-graph, morphisms out of it) in both carriers.  Direct images
+    along contractions collapse edges and can reverse an edge's orientation."""
+    for seed in range(80):
+        rng = random.Random(6000 + seed)
+        g = random_regular_finite(rng, max_vertices=5, max_order=6)
+        yield g, [_restriction_to_subtree(rng, g)]
+    for seed in range(40):
+        g, k = random_exact_sequence(random.Random(seed), max_vertices=4, good=seed % 3 > 0)
+        quo, proj = quotient_with_projection(g, k)
+        yield g, [proj]
+        yield quo, [_restriction_to_subtree(random.Random(seed), quo)]
+    for seed in range(80):
+        rng = random.Random(7000 + seed)
+        g = random_vector_group_graph(rng, random_tree(rng, rng.randint(2, 6)))
+        yield g, [_restriction_to_subtree(rng, g)]
+    for seed in range(120):
+        rng = random.Random(8000 + seed)
+        t = random_tree(rng, rng.randint(2, 5))
+        perm = sorted(t.vertices)
+        rng.shuffle(perm)  # relabelled, so a contraction can reverse an edge
+        ren = dict(zip(sorted(t.vertices), perm))
+        t = Tree.make(perm, [(ren[a], ren[b]) for a, b in t.edges])
+        make = random_finite_group_graph if seed % 2 else random_vector_group_graph
+        g = make(rng, t)
+        _, phi = contract(t, random_connected_subset(rng, t, rng.randint(2, len(perm))))
+        img, j = direct_image(phi, g)
+        yield img, [j]
+
+
+def _random_value(rng, obj):
+    if isinstance(obj, VectorSpace):
+        return [Fraction(rng.randint(-3, 3)) for _ in range(obj.dim)]
+    return rng.randrange(obj.order)
+
+
+def test_tail_action_and_push_match_two_sided_oracles():
+    checked = flipped = 0
+    for gg, morphisms in _action_instances():
+        rng = random.Random(checked)
+        for _ in range(3):
+            c = Cochain0(gg, {v: _random_value(rng, gg.vobj[v]) for v in gg.base.vertices})
+            z = Cocycle1(gg, (_random_value(rng, gg.eobj[e]) for e in gg.base.sorted_edges()))
+            values = incidence_values(z)
+            assert incidence_values(coboundary_action(c, z, gg)) == oracle_action(c, values, gg)
+            for m in morphisms:
+                assert incidence_values(push_cocycle(m, z)) == oracle_push(m, values)
+        for m in morphisms:
+            flipped += any(
+                not isinstance(m.over.apply_edge(e), str)
+                and m.over.apply(e[0]) != m.over.apply_edge(e)[0]
+                for e in m.target.base.edges
+            )
+        checked += 1
+    assert checked >= 350
+    assert flipped >= 10  # the head branch of push_cocycle is exercised
 
 
 # --- H1, vector carrier ------------------------------------------------------------
@@ -195,7 +313,7 @@ def test_privileged_class_first():
     gg = seg_gg_finite(trivial_group(), trivial_group(), cyclic_group(3))
     res = h1_finite_bruteforce(gg)
     assert res.representatives[0].is_trivial()
-    z = Cocycle1.from_tail_values(gg, {("a", "b"): 0})
+    z = Cocycle1(gg, (0,))
     assert h1_class_of(res, z) == 0
 
 
@@ -236,7 +354,7 @@ def test_abelian_count_is_z1_over_image():
         image = set()
         for fam in itertools.product(range(m), repeat=n):
             c = Cochain0(gg, dict(zip(sorted(names), fam)))
-            image.add(coboundary_action(c, Cocycle1.trivial(gg), gg).tail_tuple())
+            image.add(coboundary_action(c, Cocycle1.trivial(gg), gg).tail)
         assert res.count == z1 // len(image)
 
 
@@ -314,8 +432,8 @@ def test_offsupport_edge_removal_preserves_h1_finite():
 
 
 def test_coboundary_squared_is_zero():
-    # the second coboundary (sum of the two incidence values) kills images of
-    # the first one
+    # the second coboundary (sum of the two incidence values, each built from
+    # both ends by the two-sided oracle) kills images of the first one
     rng = random.Random(9)
     gg = vector_gg(
         ["a", "b", "c"], [("a", "b"), ("b", "c")],
@@ -334,10 +452,10 @@ def test_coboundary_squared_is_zero():
             "b": [Fraction(rng.randint(-3, 3))],
             "c": [Fraction(rng.randint(-3, 3))],
         })
-        z = coboundary_action(c, Cocycle1.trivial(gg), gg)
+        values = oracle_action(c, incidence_values(Cocycle1.trivial(gg)), gg)
         for e in gg.base.sorted_edges():
             a, b = e
-            total = linalg.vec_add(z.values[(a, e)], z.values[(b, e)])
+            total = linalg.vec_add(values[(a, e)], values[(b, e)])
             assert all(x == 0 for x in total)
 
 
@@ -487,7 +605,7 @@ def test_orbit_enumerator_matches_slow_oracle():
         reps, class_index = oracle_h1(gg)
         res = h1_finite_bruteforce(gg)
         assert res.count == len(reps)
-        assert [r.tail_tuple() for r in res.representatives] == reps
+        assert [r.tail for r in res.representatives] == reps
         assert list(res._class_index.items()) == list(class_index.items())
         witness, class_rep = _orbit_witnesses(gg, 10**6)
         assert (witness, class_rep) == oracle_witnesses(gg)
@@ -498,6 +616,11 @@ def test_orbit_enumerator_matches_slow_oracle():
 
 
 # --- H0 and H1 from the one difference map, against the slow oracles ----------------
+
+
+def flat(z):
+    """A vector-carrier cocycle's tail values concatenated over the sorted edges."""
+    return [x for value in z.tail for x in value]
 
 
 def _vertex_blocks(g):
@@ -600,24 +723,24 @@ def test_difference_map_matches_slow_oracles():
         dim, basis, im_basis = oracle_h1_vector(gg)
         assert res.dim == dim
         assert "_bases" not in vars(res)  # dim comes from the sparse rank alone
-        assert [b.tail_vector() for b in res.basis] == basis
+        assert [flat(b) for b in res.basis] == basis
         assert res._im_basis == im_basis
         first = h1_vector(gg)  # the bases read before dim
-        assert [b.tail_vector() for b in first.basis] == basis and first.dim == dim
+        assert [flat(b) for b in first.basis] == basis and first.dim == dim
         # a combination of basis classes moved by a coboundary keeps its coordinates
         rng = random.Random(checked)
         for _ in range(2):
             coords = [Fraction(rng.randint(-3, 3)) for _ in res.basis]
-            tail = {
-                e: [sum((a * b.values[(e[0], e)][i] for a, b in zip(coords, res.basis)), Fraction(0))
-                    for i in range(gg.eobj[e].dim)]
-                for e in gg.base.sorted_edges()
-            }
+            tail = [
+                [sum((a * b.tail[k][i] for a, b in zip(coords, res.basis)), Fraction(0))
+                 for i in range(gg.eobj[e].dim)]
+                for k, e in enumerate(gg.base.sorted_edges())
+            ]
             c = Cochain0(gg, {
                 v: [Fraction(rng.randint(-3, 3)) for _ in range(gg.vobj[v].dim)]
                 for v in gg.base.vertices
             })
-            z = coboundary_action(c, Cocycle1.from_tail_values(gg, tail), gg)
+            z = coboundary_action(c, Cocycle1(gg, tail), gg)
             assert h1_class_coordinates(res, z) == coords
         checked += 1
     assert checked >= 600
@@ -709,22 +832,34 @@ def test_cocycle_and_cochain_json_round_trip(segment_010):
     res = h1_vector(segment_010)
     z = res.basis[0]
     back = Cocycle1.from_json(segment_010, z.to_json())
-    assert back.values == z.values
+    assert back.tail == z.tail
     gg = small_finite_instance()
     c = Cochain0(gg, {"a": 3, "b": 1})
     assert Cochain0.from_json(gg, c.to_json()).values == c.values
-    zf = Cocycle1.from_tail_values(gg, {("a", "b"): 1})
-    assert Cocycle1.from_json(gg, zf.to_json()).values == zf.values
+    zf = Cocycle1(gg, (1,))
+    assert zf.to_json() == {"a|a#b": 1, "b|a#b": 1}
+    assert Cocycle1.from_json(gg, zf.to_json()).tail == zf.tail
 
 
-@pytest.mark.parametrize("bad", [7, 2, -1, "x", True, 1.0, None, [0]])
+@pytest.mark.parametrize(
+    "bad",
+    [7, 2, -1, "x", True, 1.0, None, [0], [1, 2, 3], [True, 0], [0.5, 0], [], ["1/0", 0]],
+)
 def test_finite_cochain_json_rejects_values_outside_the_group(bad):
-    gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(2))
-    with pytest.raises(GroupGraphError):
-        Cochain0.from_json(gg, {"a": bad, "b": 0})
-    with pytest.raises(GroupGraphError):
-        Cocycle1.from_json(gg, {"a|a#b": bad, "b|a#b": 0})
+    # every value lies outside both Z/2 and Q^2: out of range, not an int or
+    # not a list, the wrong length, a bool, float or zero-denominator entry
+    seg = Graph.make("ab", [("a", "b")])
+    for obj, ok in ((cyclic_group(2), 0), (VectorSpace(2), [0, 0])):
+        gg = constant_group_graph(seg, obj)
+        with pytest.raises(GroupGraphError, match=" is not a"):
+            Cochain0.from_json(gg, {"a": bad, "b": ok})
+        with pytest.raises(GroupGraphError, match=" is not a"):
+            Cocycle1.from_json(gg, {"a|a#b": bad, "b|a#b": ok})
+    gg = constant_group_graph(seg, cyclic_group(2))
     assert Cochain0.from_json(gg, {"a": 1, "b": 0}).values == {"a": 1, "b": 0}
+    gg = constant_group_graph(seg, VectorSpace(2))
+    got = Cochain0.from_json(gg, {"a": [1, "1/2"], "b": [0, 0]}).values
+    assert got == {"a": [Fraction(1), Fraction(1, 2)], "b": [Fraction(0), Fraction(0)]}
 
 
 def test_push_cocycle_inserts_identity_on_collapsed_edges():
@@ -735,4 +870,4 @@ def test_push_cocycle_inserts_identity_on_collapsed_edges():
     pb, canonical = pullback(phi, gg)
     z = Cocycle1.trivial(gg)
     out = push_cocycle(canonical, z)
-    assert out.values[("a", ("a", "b"))] == 0
+    assert out.tail == (0,)

@@ -109,7 +109,8 @@ def test_automorphisms_of_klein_four():
 def test_hom_validation_and_kernel_image():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     h = GroupHom(z4, z2, (0, 1, 0, 1))
-    assert h.is_surjective() and not h.is_injective()
+    assert h.is_surjective() and not h.is_injective() and not h.is_iso()
+    assert GroupHom(z2, z2, (0, 1)).is_iso()
     assert h.kernel() == frozenset({0, 2})
     assert h.image() == frozenset({0, 1})
     with pytest.raises(GroupGraphError):
@@ -121,6 +122,12 @@ def test_vector_hom():
     h = GroupHom(a, b, [[1, -2]])
     assert h.is_surjective() and not h.is_injective()
     assert len(h.kernel()) == 1
+    # iso: equal dimensions and one rank; injective alone is not enough
+    assert not h.is_iso() and not GroupHom(b, a, [[1], [0]]).is_iso()
+    assert GroupHom(b, a, [[1], [0]]).is_injective()
+    assert GroupHom(a, a, [[1, 1], [0, 1]]).is_iso()
+    assert not GroupHom(a, a, [[1, 2], [2, 4]]).is_iso()
+    assert GroupHom(VectorSpace(0), VectorSpace(0), []).is_iso()
     assert h.apply([linalg.frac(2), linalg.frac(1)]) == [linalg.frac(0)]
 
 

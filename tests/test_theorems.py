@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import finite_gg, vector_gg
-from groupgraph.graph import Graph, GraphError, GraphMorphism, Tree, contract, precedes
+from groupgraph.graph import Graph, GraphError, GraphMorphism, Tree, contract, edge, precedes
 from groupgraph.group_graph import (
+    GroupGraph,
     GroupGraphError,
     GroupHom,
     SubGroupGraph,
@@ -227,12 +228,32 @@ def test_quotient_hypothesis_violation_reported_precisely():
     assert err.value.violations  # names the failing incidences
 
 
+def _reversed_names(g, k):
+    """g and k with the vertex order reversed: the generated trees attach each
+    vertex to a smaller name, so this makes the lift's parents the heads of
+    their edges."""
+    names = g.base.sorted_vertices()
+    ren = dict(zip(names, reversed(names)))
+
+    def star(s):
+        return ren[s] if isinstance(s, str) else edge(ren[s[0]], ren[s[1]])
+
+    base = Graph.make(names, [star(e) for e in g.base.edges])
+    g2 = GroupGraph(
+        base, g.carrier, {star(v): o for v, o in g.vobj.items()},
+        {star(e): o for e, o in g.eobj.items()},
+        {(star(v), star(e)): h for (v, e), h in g.restrictions.items()},
+    )
+    return g2, SubGroupGraph(g2, {star(s): x for s, x in k.subs.items()})
+
+
 def test_quotient_iso_random_instances():
     for seed in range(10):
         g, k = random_exact_sequence(random.Random(seed), max_vertices=3, good=True)
-        rpt = quotient_iso_verify(g, k)
-        assert rpt["ok"], seed
-        assert not rpt["lift_failures"]
+        for gg, kk in ((g, k), _reversed_names(g, k)):
+            rpt = quotient_iso_verify(gg, kk)
+            assert rpt["ok"], seed
+            assert not rpt["lift_failures"]
 
 
 def test_constructive_lift_yields_trivializing_cochain():
@@ -245,14 +266,14 @@ def test_constructive_lift_yields_trivializing_cochain():
     # pick a cocycle cohomologous to the representative and lift the pair
     other_tail = None
     for t, c in res._class_index.items():
-        if c == 0 and t != rep.tail_tuple():
+        if c == 0 and t != rep.tail:
             other_tail = t
             break
     assert other_tail is not None
-    other = Cocycle1.from_tail_values(gg, {e: other_tail[0]})
+    other = Cocycle1(gg, other_tail)
     cochain = quotient_lift(gg, k, proj, rep, other, witnesses)
     acted = coboundary_action(cochain, rep, gg)
-    assert acted.tail_tuple() == other.tail_tuple()
+    assert acted.tail == other.tail
 
 
 # --- direct image ------------------------------------------------------------------
