@@ -129,7 +129,6 @@ class CohomologyResult:
     order: int | None = None  # finite h0: subgroup order
     elements: list | None = None  # finite h0: compatible families
     # internal cross-referencing state (not serialized)
-    _graph: GroupGraph | None = field(default=None, repr=False)
     _class_index: dict | None = field(default=None, repr=False)
     # vector carrier: returns (basis, image basis of B1 or None), called on the
     # first read of `basis` or `_im_basis`
@@ -191,11 +190,11 @@ def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
             for vec in basis
         ]
         return CohomologyResult(
-            "h0", "vector", dim=len(basis), _graph=g, _build_bases=lambda: (cochains, None)
+            "h0", "vector", dim=len(basis), _build_bases=lambda: (cochains, None)
         )
     tuples, vs = _h0_subgroup_finite(g, g.base, budget)
     found = [Cochain0(g, dict(zip(vs, t))) for t in tuples]
-    return CohomologyResult("h0", "finite", order=len(found), elements=found, _graph=g)
+    return CohomologyResult("h0", "finite", order=len(found), elements=found)
 
 
 def h1_vector(g: GroupGraph) -> CohomologyResult:
@@ -219,7 +218,7 @@ def h1_vector(g: GroupGraph) -> CohomologyResult:
         return basis, im_basis
 
     return CohomologyResult(
-        "h1", "vector", dim=etotal - linalg.sparse_rank(rows), _graph=g, _build_bases=bases
+        "h1", "vector", dim=etotal - linalg.sparse_rank(rows), _build_bases=bases
     )
 
 
@@ -331,8 +330,7 @@ def h1_finite_bruteforce(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> Co
     reps, class_index, _ = _orbits(g, budget)
     rep_cocycles = [Cocycle1(g, rep) for rep in reps]
     return CohomologyResult(
-        "h1", "finite", count=len(reps), representatives=rep_cocycles,
-        _graph=g, _class_index=class_index,
+        "h1", "finite", count=len(reps), representatives=rep_cocycles, _class_index=class_index
     )
 
 

@@ -71,24 +71,34 @@ class Graph:
     def make(vertices, edges) -> "Graph":
         return Graph(frozenset(vertices), frozenset(edge(a, b) for a, b in edges))
 
+    # The cached properties below are built on first use and stored in the
+    # instance __dict__, which the frozen dataclass allows; __eq__ and __hash__
+    # see only the fields.  The public methods hand out fresh lists.
+
+    @cached_property
+    def _sorted_vertices(self) -> tuple[str, ...]:
+        return tuple(sorted(self.vertices))
+
+    @cached_property
+    def _sorted_edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def _incidences(self) -> tuple[tuple[str, Edge], ...]:
+        return tuple((v, e) for e in self._sorted_edges for v in e)
+
     def sorted_vertices(self) -> list[str]:
-        return sorted(self.vertices)
+        return list(self._sorted_vertices)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(self._sorted_edges)
 
     def incidences(self) -> list[tuple[str, Edge]]:
         """The oriented-edge set: every (v, e) with v an endpoint of e."""
-        out = []
-        for e in self.sorted_edges():
-            out.append((e[0], e))
-            out.append((e[1], e))
-        return out
+        return list(self._incidences)
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        # Built on first use and stored in the instance __dict__, which the
-        # frozen dataclass allows; __eq__ and __hash__ see only the fields.
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)

@@ -687,133 +687,97 @@ def _h0_basis_vector(g: GroupGraph, sub: Graph):
     return linalg.kernel_basis(linalg.dense(rows, ncols), ncols), offs
 
 
+def _fiber_h0(g: GroupGraph, fiber: Graph, budget: int):
+    """H0 of g over a vertex fiber as a group object, plus its projection
+    GroupHom to each fiber vertex."""
+    if g.carrier == "finite":
+        tuples, vs = _h0_subgroup_finite(g, fiber, budget)
+        pos = {t: i for i, t in enumerate(tuples)}
+        table = [
+            [pos[tuple(g.vobj[v].mul(a[i], b[i]) for i, v in enumerate(vs))] for b in tuples]
+            for a in tuples
+        ]
+        grp = FiniteGroup(len(tuples), table, validate=False)
+        return grp, {
+            v: GroupHom(grp, g.vobj[v], [t[i] for t in tuples], validate=False)
+            for i, v in enumerate(vs)
+        }
+    basis, offs = _h0_basis_vector(g, fiber)
+    space = VectorSpace(len(basis))
+    return space, {
+        v: GroupHom(space, g.vobj[v], [[b[o + i] for b in basis] for i in range(g.vobj[v].dim)],
+                    validate=False)
+        for v, o in offs.items()
+    }
+
+
+def _product(carrier: str, factors: list, budget: int):
+    """Product of group objects, its projection to each factor, and the
+    pairing (source, one hom per factor) -> the hom into the product."""
+    if carrier == "finite":
+        prod, elems = direct_product_group(factors, budget)
+        pos = {t: i for i, t in enumerate(elems)}
+
+        def pair(source, homs):
+            data = [pos[tuple(h.data[x] for h in homs)] for x in range(source.order)]
+            return GroupHom(source, prod, data, validate=False)
+
+        projs = [GroupHom(prod, f, [t[k] for t in elems], validate=False)
+                 for k, f in enumerate(factors)]
+        return prod, projs, pair
+    prod, projs, off = VectorSpace(sum(f.dim for f in factors)), [], 0
+    unit = linalg.identity(prod.dim)
+    for f in factors:  # block sum: factor f owns the coordinates off .. off + f.dim
+        projs.append(GroupHom(prod, f, unit[off: off + f.dim], validate=False))
+        off += f.dim
+
+    def pair(source, homs):  # stacked rows: zeros(0, n) for an empty fiber
+        return GroupHom(source, prod, [row for h in homs for row in h.data], validate=False)
+
+    return prod, projs, pair
+
+
 def direct_image(
     phi: GraphMorphism, g: GroupGraph, budget: int = DEFAULT_PRODUCT_ORDER_BUDGET
 ) -> tuple[GroupGraph, GroupGraphMorphism]:
     """Direct image along phi plus the canonical projection morphism.
 
-    Vertex objects are compatible families over the vertex fibers, edge objects
-    are products over the edge fibers; empty fibers carry the trivial object.
+    Vertex objects are compatible families (H0) over the vertex fibers, edge
+    objects are products over the edge fibers; empty fibers carry the trivial
+    object.  Every restriction and projection is a composition of g's
+    restrictions with the fiber projections: the restriction at (v', e') pairs
+    rho_x o proj_x over the edges e of the fiber of e', x the endpoint of e
+    over v'; a collapsed edge e maps by rho_min(e) o proj_min(e).
     """
     if g.base != phi.source:
         raise GroupGraphError("group-graph does not live on the morphism source")
     tgt = phi.target
-    carrier = g.carrier
-
-    fiber_data = {}  # v' -> finite: (group, tuples, vs) | vector: (space, basis, offs)
+    vobj, proj = {}, {}
     for v2 in tgt.sorted_vertices():
-        fiber = phi.fiber(v2)
-        if carrier == "finite":
-            tuples, vs = _h0_subgroup_finite(g, fiber, budget)
-            pos = {t: i for i, t in enumerate(tuples)}
-            table = [
-                [pos[tuple(g.vobj[v].mul(a[i], b[i]) for i, v in enumerate(vs))] for b in tuples]
-                for a in tuples
-            ]
-            fiber_data[v2] = (FiniteGroup(len(tuples), table, validate=False), tuples, vs)
-        else:
-            basis, offs = _h0_basis_vector(g, fiber)
-            fiber_data[v2] = (VectorSpace(len(basis)), basis, offs)
+        vobj[v2], projs = _fiber_h0(g, phi.fiber(v2), budget)
+        proj.update(projs)
+    edge_fiber = {e2: phi.edge_fiber(e2) for e2 in tgt.sorted_edges()}
+    eobj, eproj, pair = {}, {}, {}
+    for e2, fe in edge_fiber.items():
+        eobj[e2], projs, pair[e2] = _product(g.carrier, [g.eobj[e] for e in fe], budget)
+        eproj.update(zip(fe, projs))
 
-    edge_data = {}  # e' -> finite: (group, tuples, fiber_edges) | vector: (space, fiber_edges, offs)
-    for e2 in tgt.sorted_edges():
-        fe = phi.edge_fiber(e2)
-        if carrier == "finite":
-            prod, tuples = direct_product_group([g.eobj[e] for e in fe], budget)
-            edge_data[e2] = (prod, tuples, fe)
-        else:
-            offs, total = {}, 0
-            for e in fe:
-                offs[e] = total
-                total += g.eobj[e].dim
-            edge_data[e2] = (VectorSpace(total), fe, offs)
+    def via(x: str, e: Edge) -> GroupHom:  # H0 of x's fiber -> G_x -> G_e
+        return g.restriction(x, e).compose(proj[x])
 
-    vobj = {v2: fiber_data[v2][0] for v2 in tgt.vertices}
-    eobj = {e2: edge_data[e2][0] for e2 in tgt.edges}
-
-    def fiber_endpoint(e: Edge, v2: str) -> str:
-        return e[0] if phi.apply(e[0]) == v2 else e[1]
-
-    restrictions = {}
-    for v2, e2 in tgt.incidences():
-        if carrier == "finite":
-            grp, tuples, vs = fiber_data[v2]
-            prod, ptuples, fe = edge_data[e2]
-            ppos = {t: i for i, t in enumerate(ptuples)}
-            vpos = {v: i for i, v in enumerate(vs)}
-            mapping = []
-            for t in tuples:
-                comps = tuple(
-                    g.restriction(fiber_endpoint(e, v2), e).apply(t[vpos[fiber_endpoint(e, v2)]])
-                    for e in fe
-                )
-                mapping.append(ppos[comps])
-            restrictions[(v2, e2)] = GroupHom(grp, prod, mapping, validate=False)
-        else:
-            space, basis, offs = fiber_data[v2]
-            espace, fe, eoffs = edge_data[e2]
-            m = linalg.zeros(espace.dim, space.dim)
-            for col, bvec in enumerate(basis):
-                for e in fe:
-                    x = fiber_endpoint(e, v2)
-                    part = bvec[offs[x]: offs[x] + g.vobj[x].dim]
-                    img = g.restriction(x, e).apply(part)
-                    for i, val in enumerate(img):
-                        m[eoffs[e] + i][col] = val
-            restrictions[(v2, e2)] = GroupHom(space, espace, m, validate=False)
-
-    out = GroupGraph(tgt, carrier, vobj, eobj, restrictions)
+    restrictions = {
+        (v2, e2): pair[e2](vobj[v2], [
+            via(e[0] if phi.apply(e[0]) == v2 else e[1], e) for e in edge_fiber[e2]
+        ])
+        for v2, e2 in tgt.incidences()
+    }
+    out = GroupGraph(tgt, g.carrier, vobj, eobj, restrictions)
 
     # canonical projection j: direct image -> g, over phi
-    maps = {}
-    for v in g.base.sorted_vertices():
-        v2 = phi.apply(v)
-        if carrier == "finite":
-            grp, tuples, vs = fiber_data[v2]
-            vpos = vs.index(v)
-            maps[v] = GroupHom(grp, g.vobj[v], [t[vpos] for t in tuples], validate=False)
-        else:
-            space, basis, offs = fiber_data[v2]
-            d = g.vobj[v].dim
-            m = [[basis[col][offs[v] + i] for col in range(space.dim)] for i in range(d)]
-            maps[v] = GroupHom(space, g.vobj[v], m, validate=False)
+    maps = {v: proj[v] for v in g.base.sorted_vertices()}
     for e in g.base.sorted_edges():
-        img = phi.apply_edge(e)
-        if isinstance(img, str):
-            # collapsed edge: common restriction of the compatible family
-            x = min(e)
-            if carrier == "finite":
-                grp, tuples, vs = fiber_data[img]
-                vpos = vs.index(x)
-                maps[e] = GroupHom(
-                    grp, g.eobj[e],
-                    [g.restriction(x, e).apply(t[vpos]) for t in tuples], validate=False,
-                )
-            else:
-                space, basis, offs = fiber_data[img]
-                d = g.eobj[e].dim
-                m = linalg.zeros(d, space.dim)
-                for col, bvec in enumerate(basis):
-                    part = bvec[offs[x]: offs[x] + g.vobj[x].dim]
-                    img_vec = g.restriction(x, e).apply(part)
-                    for i, val in enumerate(img_vec):
-                        m[i][col] = val
-                maps[e] = GroupHom(space, g.eobj[e], m, validate=False)
-        else:
-            if carrier == "finite":
-                prod, ptuples, fe = edge_data[img]
-                epos = fe.index(e)
-                maps[e] = GroupHom(prod, g.eobj[e], [t[epos] for t in ptuples], validate=False)
-            else:
-                espace, fe, eoffs = edge_data[img]
-                d = g.eobj[e].dim
-                m = linalg.zeros(d, espace.dim)
-                for i in range(d):
-                    m[i][eoffs[e] + i] = Fraction(1)
-                maps[e] = GroupHom(espace, g.eobj[e], m, validate=False)
-
-    j = GroupGraphMorphism(phi, out, g, maps)
-    return out, j
+        maps[e] = via(min(e), e) if phi.collapses(e) else eproj[e]
+    return out, GroupGraphMorphism(phi, out, g, maps)
 
 
 class SubGroupGraph:

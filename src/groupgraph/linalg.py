@@ -8,6 +8,7 @@ here is exact: no tolerances anywhere.
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 
 Vector = list[Fraction]
@@ -15,11 +16,18 @@ Matrix = list[list[Fraction]]
 SparseRow = dict[int, Fraction]  # column -> nonzero entry
 
 
+# The strings frac_to_json writes.  Fraction alone also reads decimals and
+# exponents, and builds 10**exp exactly: "1e10000000" would stall the parser.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '2/3' and Fractions to Fraction."""
+    """Coerce ints, strings 'p' or 'p/q' (integers p, q) and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"not an exact rational: {x!r}")
         try:
             return Fraction(x)
         except ZeroDivisionError:  # "1/0" is a string, not a rational

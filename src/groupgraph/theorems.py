@@ -481,7 +481,7 @@ def regular_h1(
                     basis.append(_delta_cocycle(g, st, {e: unit}))
             return basis, None
 
-        result = CohomologyResult("h1", "vector", dim=dim, _graph=g, _build_bases=bases)
+        result = CohomologyResult("h1", "vector", dim=dim, _build_bases=bases)
         if crosscheck:
             ref = h1_vector(g)
             if ref.dim != dim:
@@ -500,7 +500,7 @@ def regular_h1(
         reps = []
         for combo in itertools.product(*(range(g.eobj[e].order) for e in st.a_prime)):
             reps.append(_delta_cocycle(g, st, dict(zip(st.a_prime, combo))))
-        result = CohomologyResult("h1", "finite", count=count, representatives=reps, _graph=g)
+        result = CohomologyResult("h1", "finite", count=count, representatives=reps)
         if crosscheck:
             ref = h1_finite_bruteforce(g, budget)
             if ref.count != count:

@@ -390,6 +390,7 @@ MALFORMED_GROUP_GRAPHS = [
     ("entry-float", ("restrictions", "a|a#b", ENTRY), 0.5),
     ("entry-true", ("restrictions", "a|a#b", ENTRY), True),
     ("entry-zero-denominator", ("restrictions", "a|a#b", ENTRY), "1/0"),
+    ("entry-exponent", ("restrictions", "a|a#b", ENTRY), "1e10000000"),
 ]
 
 

@@ -304,7 +304,14 @@ def test_neighbors_built_once_and_invisible_to_equality():
     assert g.neighbors("b") == ("a",)
     assert g.neighbors("z") == () and g.neighbors("missing") == ()
     assert g.neighbors("a") is g.neighbors("a")  # one adjacency per graph
-    # the cached adjacency is not a field: equality and hashing ignore it
+    # the sorted orders are cached too, and each call hands out a fresh list
+    assert g.incidences() == [("a", ("a", "b")), ("b", ("a", "b")),
+                              ("a", ("a", "c")), ("c", ("a", "c"))]
+    for order in (g.sorted_vertices, g.sorted_edges, g.incidences):
+        order().clear()
+        assert order() and order() is not order()
+    assert g.sorted_vertices() == list("abcz") and g.sorted_edges() == [("a", "b"), ("a", "c")]
+    # the cached adjacency and orders are not fields: equality and hashing ignore them
     assert g == fresh and hash(g) == hash(fresh) and len({g, fresh}) == 1
     assert Graph.make("ab", [("a", "b")]) != Graph.make("ab", [])
 

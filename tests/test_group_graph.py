@@ -6,9 +6,17 @@ import pytest
 
 from conftest import finite_gg, vector_gg
 from groupgraph import linalg
-from groupgraph.generators import group_pool
+from groupgraph.generators import (
+    group_pool,
+    random_connected_subset,
+    random_direct_image_pair,
+    random_finite_group_graph,
+    random_tree,
+    random_vector_group_graph,
+)
 from groupgraph.graph import Graph, GraphMorphism, Tree, contract
 from groupgraph.group_graph import (
+    DEFAULT_PRODUCT_ORDER_BUDGET,
     BudgetExceeded,
     FiniteGroup,
     GroupGraph,
@@ -34,6 +42,8 @@ from groupgraph.group_graph import (
     support_components,
     tensor,
     trivial_sub,
+    _h0_basis_vector,
+    _h0_subgroup_finite,
 )
 from groupgraph.cohomology import h0
 
@@ -249,6 +259,166 @@ def test_direct_image_empty_fiber_is_trivial():
     img, _ = direct_image(incl, gg)
     assert img.vobj["b"].order == 1
     assert img.vobj["a"].order == 5
+
+
+def oracle_direct_image(phi, g, budget=DEFAULT_PRODUCT_ORDER_BUDGET):
+    """The direct image with every restriction and projection filled in by
+    hand, element by element (finite) or entry by entry (vector): the
+    reference that `direct_image`'s composed homs are checked against."""
+    if g.base != phi.source:
+        raise GroupGraphError("group-graph does not live on the morphism source")
+    tgt = phi.target
+    carrier = g.carrier
+
+    fiber_data = {}  # v' -> finite: (group, tuples, vs) | vector: (space, basis, offs)
+    for v2 in tgt.sorted_vertices():
+        fiber = phi.fiber(v2)
+        if carrier == "finite":
+            tuples, vs = _h0_subgroup_finite(g, fiber, budget)
+            pos = {t: i for i, t in enumerate(tuples)}
+            table = [
+                [pos[tuple(g.vobj[v].mul(a[i], b[i]) for i, v in enumerate(vs))] for b in tuples]
+                for a in tuples
+            ]
+            fiber_data[v2] = (FiniteGroup(len(tuples), table, validate=False), tuples, vs)
+        else:
+            basis, offs = _h0_basis_vector(g, fiber)
+            fiber_data[v2] = (VectorSpace(len(basis)), basis, offs)
+
+    edge_data = {}  # e' -> finite: (group, tuples, fiber_edges) | vector: (space, fiber_edges, offs)
+    for e2 in tgt.sorted_edges():
+        fe = phi.edge_fiber(e2)
+        if carrier == "finite":
+            prod, tuples = direct_product_group([g.eobj[e] for e in fe], budget)
+            edge_data[e2] = (prod, tuples, fe)
+        else:
+            offs, total = {}, 0
+            for e in fe:
+                offs[e] = total
+                total += g.eobj[e].dim
+            edge_data[e2] = (VectorSpace(total), fe, offs)
+
+    vobj = {v2: fiber_data[v2][0] for v2 in tgt.vertices}
+    eobj = {e2: edge_data[e2][0] for e2 in tgt.edges}
+
+    def fiber_endpoint(e, v2):
+        return e[0] if phi.apply(e[0]) == v2 else e[1]
+
+    restrictions = {}
+    for v2, e2 in tgt.incidences():
+        if carrier == "finite":
+            grp, tuples, vs = fiber_data[v2]
+            prod, ptuples, fe = edge_data[e2]
+            ppos = {t: i for i, t in enumerate(ptuples)}
+            vpos = {v: i for i, v in enumerate(vs)}
+            mapping = []
+            for t in tuples:
+                comps = tuple(
+                    g.restriction(fiber_endpoint(e, v2), e).apply(t[vpos[fiber_endpoint(e, v2)]])
+                    for e in fe
+                )
+                mapping.append(ppos[comps])
+            restrictions[(v2, e2)] = GroupHom(grp, prod, mapping, validate=False)
+        else:
+            space, basis, offs = fiber_data[v2]
+            espace, fe, eoffs = edge_data[e2]
+            m = linalg.zeros(espace.dim, space.dim)
+            for col, bvec in enumerate(basis):
+                for e in fe:
+                    x = fiber_endpoint(e, v2)
+                    part = bvec[offs[x]: offs[x] + g.vobj[x].dim]
+                    img = g.restriction(x, e).apply(part)
+                    for i, val in enumerate(img):
+                        m[eoffs[e] + i][col] = val
+            restrictions[(v2, e2)] = GroupHom(space, espace, m, validate=False)
+
+    out = GroupGraph(tgt, carrier, vobj, eobj, restrictions)
+
+    # canonical projection j: direct image -> g, over phi
+    maps = {}
+    for v in g.base.sorted_vertices():
+        v2 = phi.apply(v)
+        if carrier == "finite":
+            grp, tuples, vs = fiber_data[v2]
+            vpos = vs.index(v)
+            maps[v] = GroupHom(grp, g.vobj[v], [t[vpos] for t in tuples], validate=False)
+        else:
+            space, basis, offs = fiber_data[v2]
+            d = g.vobj[v].dim
+            m = [[basis[col][offs[v] + i] for col in range(space.dim)] for i in range(d)]
+            maps[v] = GroupHom(space, g.vobj[v], m, validate=False)
+    for e in g.base.sorted_edges():
+        img = phi.apply_edge(e)
+        if isinstance(img, str):
+            # collapsed edge: common restriction of the compatible family
+            x = min(e)
+            if carrier == "finite":
+                grp, tuples, vs = fiber_data[img]
+                vpos = vs.index(x)
+                maps[e] = GroupHom(
+                    grp, g.eobj[e],
+                    [g.restriction(x, e).apply(t[vpos]) for t in tuples], validate=False,
+                )
+            else:
+                space, basis, offs = fiber_data[img]
+                d = g.eobj[e].dim
+                m = linalg.zeros(d, space.dim)
+                for col, bvec in enumerate(basis):
+                    part = bvec[offs[x]: offs[x] + g.vobj[x].dim]
+                    img_vec = g.restriction(x, e).apply(part)
+                    for i, val in enumerate(img_vec):
+                        m[i][col] = val
+                maps[e] = GroupHom(space, g.eobj[e], m, validate=False)
+        else:
+            if carrier == "finite":
+                prod, ptuples, fe = edge_data[img]
+                epos = fe.index(e)
+                maps[e] = GroupHom(prod, g.eobj[e], [t[epos] for t in ptuples], validate=False)
+            else:
+                espace, fe, eoffs = edge_data[img]
+                d = g.eobj[e].dim
+                m = linalg.zeros(d, espace.dim)
+                for i in range(d):
+                    m[i][eoffs[e] + i] = Fraction(1)
+                maps[e] = GroupHom(espace, g.eobj[e], m, validate=False)
+
+    j = GroupGraphMorphism(phi, out, g, maps)
+    return out, j
+
+
+def test_direct_image_matches_the_hand_filled_oracle():
+    # four kinds of morphism: contractions of random pairs; single-edge
+    # contractions; inclusions of a subtree, whose outside vertices and edges
+    # have empty fibers; and random vertex maps into a complete graph, which
+    # fold several edges onto one and may leave vertices with no preimage
+    rng = random.Random(2024)
+    carriers = {"finite": 0, "vector": 0}
+    for k in range(480):
+        if k % 4 == 0:
+            phi, g = random_direct_image_pair(rng)
+        else:
+            t = random_tree(rng, rng.randint(2, 5))
+            sub = t
+            if k % 4 == 1:
+                _, phi = contract(t, set(rng.choice(t.graph.sorted_edges())))
+            elif k % 4 == 2:
+                sub = Tree(t.graph.induced(random_connected_subset(rng, t, rng.randint(1, 3))))
+                phi = GraphMorphism.inclusion(sub.graph, t.graph)
+            else:
+                ws = [f"w{i}" for i in range(rng.randint(1, 3))]
+                kn = Graph.make(ws, [(a, b) for a in ws for b in ws if a < b])
+                phi = GraphMorphism.make(t.graph, kn, {v: rng.choice(ws) for v in t.vertices})
+            if rng.random() < 0.5:
+                g = random_finite_group_graph(rng, sub, max_order=3)
+            else:
+                g = random_vector_group_graph(rng, sub)
+        carriers[g.carrier] += 1
+        img, j = direct_image(phi, g)
+        want, want_j = oracle_direct_image(phi, g)
+        assert img.to_json() == want.to_json()
+        assert list(j.maps) == list(want_j.maps)
+        assert all(j.maps[s].to_json() == want_j.maps[s].to_json() for s in j.maps)
+    assert min(carriers.values()) >= 200
 
 
 # --- quotient --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,16 @@ def test_frac_rejects_bool():
     for x in (True, False, 0.5):
         with pytest.raises(TypeError):
             linalg.frac(x)
+
+
+def test_frac_reads_only_the_integer_and_ratio_strings_it_writes():
+    # Fraction alone reads "1e10000000" as 10**10000000, which takes seconds
+    for x in ("1e10000000", "1.5", " 1", "1/-2", "0x1", "inf"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            linalg.frac(x)
+        assert time.perf_counter() - start < 1
+    assert [linalg.frac(x) for x in ("-3", "+4", "6/4")] == [F(-3), F(4), Fraction(3, 2)]
 
 
 def sparse(m):
