@@ -77,11 +77,11 @@ def run_analyze(args) -> int:
         else:
             sys.stderr.write(f"cannot read spec: {exc}\n")
         return EXIT_ERROR
-    violations = foliation.validate(spec)
-    if violations:
-        _emit(_dump({"violations": violations}), args.output)
+    try:
+        report = foliation.moduli_dimension(spec)  # validates the spec
+    except FoliationError as exc:
+        _emit(_dump({"violations": exc.violations}), args.output)
         return EXIT_VALIDATION
-    report = foliation.moduli_dimension(spec)
     if args.summary:
         lines = [
             f"finite_type: {report.finite_type}",
@@ -209,9 +209,10 @@ def _check_tensor(rng, budget):
 
 def _check_moduli_triple(rng, budget):
     spec = FoliationSpec.from_json(random_foliation_spec(rng))
-    if foliation.validate(spec):
+    try:
+        report = foliation.moduli_dimension(spec)  # raises if the pipelines disagree
+    except FoliationError:  # an invalid spec
         return False
-    report = foliation.moduli_dimension(spec)  # raises if the pipelines disagree
     return report.finite_type == "finite" and isinstance(report.moduli_dim, int)
 
 
@@ -222,9 +223,10 @@ def _check_characterization(rng, budget):
     else:
         spec = FoliationSpec.from_json(random_injected_spec(rng, rng.randint(1, 4)))
         expected = "not-finite"
-    if foliation.validate(spec):
+    try:
+        verdict, reports = foliation.is_finite_type(spec)
+    except FoliationError:  # an invalid spec
         return False
-    verdict, reports = foliation.is_finite_type(spec)
     if verdict != expected:
         return False
     if verdict == "not-finite":

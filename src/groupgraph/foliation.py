@@ -21,10 +21,12 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    components,
     connected_components,
     edge,
     edge_key,
     parse_edge_key,
+    path_to_json,
     path_to_root,
     validate_tree,
 )
@@ -384,10 +386,6 @@ def _classify_path(ctx: _Analysis, path: list):
     return None
 
 
-def _path_to_json(path: list) -> list:
-    return [c if isinstance(c, str) else [c[0], c[1]] for c in path]
-
-
 def scan_typed_geodesics(spec: FoliationSpec) -> list[dict]:
     """Exhaustive scan of every geodesic in every cut-component for the four
     forbidden shapes."""
@@ -401,7 +399,7 @@ def _scan(ctx: _Analysis) -> list[dict]:
             for path in _paths_from(comp, start):
                 t = _classify_path(ctx, path)
                 if t is not None:
-                    found.append({"type": t, "elements": _path_to_json(path)})
+                    found.append({"type": t, "elements": path_to_json(path)})
     found.sort(key=lambda w: (w["type"], json.dumps(w["elements"])))
     return found
 
@@ -495,7 +493,7 @@ def _disconnection_witness(spec: FoliationSpec, comp: Graph, red_comps) -> dict:
                     if best is None or len(path) < len(best):
                         best = path
     t = 4 if len(best) == 3 else 3
-    return {"type": t, "elements": _path_to_json(best)}
+    return {"type": t, "elements": path_to_json(best)}
 
 
 def _repulsivity_witness(ctx: _Analysis, parent: dict, bad_vertex: str) -> dict:
@@ -506,10 +504,10 @@ def _repulsivity_witness(ctx: _Analysis, parent: dict, bad_vertex: str) -> dict:
     path = path_to_root(parent, bad_vertex)[::-1]  # red end first
     t = _classify_path(ctx, path)
     if t is not None:
-        return {"type": t, "elements": _path_to_json(path)}
+        return {"type": t, "elements": path_to_json(path)}
     if ctx.scan:
         return ctx.scan[0]
-    return {"type": "untyped", "reason": "generation-failure", "elements": _path_to_json(path)}
+    return {"type": "untyped", "reason": "generation-failure", "elements": path_to_json(path)}
 
 
 def entirely_green_check(spec: FoliationSpec) -> list[list[str]]:
@@ -570,30 +568,13 @@ def _build_tf_red(ctx: _Analysis) -> GroupGraph:
 
 def _contracted_rank(tf: GroupGraph) -> int:
     """Cycle rank after collapsing the whole off-support part to one fresh
-    vertex; loops and parallel edges count."""
-    supp_vs = [v for v in tf.base.sorted_vertices() if tf.vobj[v].dim > 0]
-    supp_es = [e for e in tf.base.sorted_edges() if tf.eobj[e].dim > 0]
-    off_vs = [v for v in tf.base.sorted_vertices() if tf.vobj[v].dim == 0]
-    fresh = off_vs != []
-    nodes = list(supp_vs) + (["*"] if fresh else [])
+    node, None, which no vertex name equals; loops and parallel edges count."""
+    def node(v):
+        return v if tf.vobj[v].dim > 0 else None
 
-    def node_of(v):
-        return v if tf.vobj[v].dim > 0 else "*"
-
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in supp_es:
-        ra, rb = find(node_of(a)), find(node_of(b))
-        if ra != rb:
-            parent[ra] = rb
-    comps = len({find(n) for n in nodes})
-    return len(supp_es) - len(nodes) + comps
+    nodes = {node(v) for v in tf.base.vertices}
+    links = [(node(a), node(b)) for a, b in tf.base.edges if tf.eobj[(a, b)].dim > 0]
+    return len(links) - len(nodes) + len(components(nodes, links))
 
 
 @dataclass

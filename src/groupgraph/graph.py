@@ -274,7 +274,7 @@ class Geodesic:
         return set(other.elements) <= set(self.elements)
 
     def to_json(self) -> list:
-        return [c if isinstance(c, str) else [c[0], c[1]] for c in self.elements]
+        return path_to_json(self.elements)
 
 
 def validate_tree(g: Graph) -> bool:
@@ -283,12 +283,14 @@ def validate_tree(g: Graph) -> bool:
         return False
     if len(g.edges) != len(g.vertices) - 1:
         return False
-    return len(connected_components(g)) == 1
+    return len(components(g.vertices, g.edges)) == 1
 
 
-def connected_components(g: Graph) -> list[tuple[list[str], list[Edge]]]:
-    """Vertex partition plus induced edge partition, ordered by smallest vertex."""
-    parent = {v: v for v in g.vertices}
+def components(nodes, links) -> list[list]:
+    """Connected classes of hashable nodes joined by links (pairs of nodes),
+    by union-find (Tarjan, J. ACM 22, 1975).  Members keep the input order;
+    the classes are ordered by their first member."""
+    parent = {n: n for n in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -296,20 +298,24 @@ def connected_components(g: Graph) -> list[tuple[list[str], list[Edge]]]:
             x = parent[x]
         return x
 
-    for a, b in g.edges:
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups: dict[str, list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
-    comps = []
-    for members in groups.values():
-        vs = sorted(members)
-        es = sorted(e for e in g.edges if find(e[0]) == find(members[0]))
-        comps.append((vs, es))
-    comps.sort(key=lambda c: c[0][0])
-    return comps
+    classes: dict = {}
+    for n in parent:
+        classes.setdefault(find(n), []).append(n)
+    return list(classes.values())
+
+
+def connected_components(g: Graph) -> list[tuple[list[str], list[Edge]]]:
+    """Vertex partition plus induced edge partition, ordered by smallest vertex."""
+    comps = components(g.sorted_vertices(), g.edges)
+    where = {v: i for i, vs in enumerate(comps) for v in vs}
+    edges = [[] for _ in comps]
+    for e in g.sorted_edges():
+        edges[where[e[0]]].append(e)
+    return list(zip(comps, edges))
 
 
 def first_homology_rank(g: Graph) -> int:
@@ -346,6 +352,11 @@ def path_to_root(parent: dict, v: str) -> list:
         path += [edge(v, parent[v]), parent[v]]
         v = parent[v]
     return path
+
+
+def path_to_json(path) -> list:
+    """An element path as JSON: vertices as strings, edges as [a, b]."""
+    return [c if isinstance(c, str) else [c[0], c[1]] for c in path]
 
 
 def subtree_parents(t: Tree, r) -> dict[str, str | None]:

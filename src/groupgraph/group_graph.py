@@ -24,6 +24,7 @@ from .graph import (
     Edge,
     Graph,
     GraphMorphism,
+    components,
     edge_key,
     incidence_key,
     parse_edge_key,
@@ -267,12 +268,19 @@ def direct_product_group(
             {"order": order, "budget": budget},
         )
     elems = list(itertools.product(*(range(f.order) for f in factors)))
+    return _componentwise_group(factors, elems), elems
+
+
+def _componentwise_group(factors: list[FiniteGroup], elems: list[tuple[int, ...]]) -> FiniteGroup:
+    """The group on element tuples of the factors, closed under the
+    componentwise product, identity first; the index of a tuple is its
+    position in elems."""
     pos = {t: i for i, t in enumerate(elems)}
     table = [
-        [pos[tuple(f.mul(a[i], b[i]) for i, f in enumerate(factors))] for b in elems]
+        [pos[tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))] for b in elems]
         for a in elems
     ]
-    return FiniteGroup(order, table, validate=False), elems
+    return FiniteGroup(len(elems), table, validate=False)
 
 
 @dataclass(frozen=True)
@@ -692,12 +700,7 @@ def _fiber_h0(g: GroupGraph, fiber: Graph, budget: int):
     GroupHom to each fiber vertex."""
     if g.carrier == "finite":
         tuples, vs = _h0_subgroup_finite(g, fiber, budget)
-        pos = {t: i for i, t in enumerate(tuples)}
-        table = [
-            [pos[tuple(g.vobj[v].mul(a[i], b[i]) for i, v in enumerate(vs))] for b in tuples]
-            for a in tuples
-        ]
-        grp = FiniteGroup(len(tuples), table, validate=False)
+        grp = _componentwise_group([g.vobj[v] for v in vs], tuples)
         return grp, {
             v: GroupHom(grp, g.vobj[v], [t[i] for t in tuples], validate=False)
             for i, v in enumerate(vs)
@@ -878,7 +881,8 @@ def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGrap
         quo = GroupGraph(g.base, "finite", vobj, eobj, restrictions)
         maps = {s: GroupHom(g.obj(s), quo.obj(s), made[s][1], validate=False) for s in g.stars()}
     else:
-        qmaps = {s: linalg.quotient_map(k.subs[s], g.obj(s).dim) for s in g.stars()}
+        # the rows span the functionals that kill K_s: a surjection with kernel K_s
+        qmaps = {s: linalg.kernel_basis(k.subs[s], g.obj(s).dim) for s in g.stars()}
         secs = {s: linalg.quotient_section(k.subs[s], g.obj(s).dim) for s in g.stars()}
         vobj = {v: VectorSpace(len(qmaps[v])) for v in g.base.vertices}
         eobj = {e: VectorSpace(len(qmaps[e])) for e in g.base.edges}
@@ -920,32 +924,11 @@ def support(g: GroupGraph) -> list:
 
 
 def support_components(g: GroupGraph) -> list[list]:
-    """Path-connected components of the support, as sorted star lists."""
+    """Path-connected components of the support, each in star order."""
     supp = support(g)
-    index = {s: i for i, s in enumerate(supp)}
-    parent = list(range(len(supp)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v, e in g.base.incidences():
-        if v in index and e in index:
-            ra, rb = find(index[v]), find(index[e])
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list] = {}
-    for s in supp:
-        groups.setdefault(find(index[s]), []).append(s)
-    comps = [sorted(members, key=_star_sort_key) for members in groups.values()]
-    comps.sort(key=lambda c: _star_sort_key(c[0]))
-    return comps
-
-
-def _star_sort_key(star):
-    return (0, star, "") if isinstance(star, str) else (1, star[0], star[1])
+    inside = set(supp)
+    links = [(v, e) for v, e in g.base.incidences() if v in inside and e in inside]
+    return components(supp, links)
 
 
 def is_regular(g: GroupGraph) -> tuple[bool, list[tuple[str, Edge]]]:

@@ -235,26 +235,10 @@ def extend_to_basis(vectors: list[Vector], dim: int) -> list[int]:
     return [i for i in range(dim) if i not in spanned]
 
 
-def quotient_map(sub_basis: list[Vector], dim: int) -> Matrix:
-    """Matrix of a surjection Q^dim -> Q^(dim-k) whose kernel is span(sub_basis).
-
-    Rows of the echelon form of the subspace kill the pivot coordinates; the
-    free coordinates survive as the quotient coordinates.
-    """
-    r, pivots = rref(sub_basis)
-    free = [j for j in range(dim) if j not in pivots]
-    q = []
-    for f in free:
-        row = [Fraction(0)] * dim
-        row[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            row[p] = -r[i][f]
-        q.append(row)
-    return q
-
-
 def quotient_section(sub_basis: list[Vector], dim: int) -> Matrix:
-    """Right inverse of quotient_map: embeds quotient coordinates on the free slots."""
+    """Right inverse of the quotient map Q^dim -> Q^(dim-k) whose rows are
+    kernel_basis(sub_basis, dim), the functionals that kill span(sub_basis):
+    embeds quotient coordinates on the free slots."""
     _, pivots = rref(sub_basis)
     free = [j for j in range(dim) if j not in pivots]
     sec = zeros(dim, len(free))

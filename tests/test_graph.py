@@ -9,6 +9,7 @@ from groupgraph.graph import (
     GraphError,
     GraphMorphism,
     Tree,
+    components,
     connected_components,
     contract,
     edge,
@@ -295,6 +296,60 @@ def test_connected_components():
     comps = connected_components(mixed)
     assert len(comps) == 2
     assert comps[0][0] == ["a", "b", "c"] and comps[1][0] == ["z"]
+
+
+def bfs_components(g):
+    """Oracle: one BFS per unreached vertex in sorted order, vertices and
+    induced edges sorted."""
+    comps, seen = [], set()
+    for v in g.sorted_vertices():
+        if v not in seen:
+            reached = g.bfs([v])
+            seen |= reached.keys()
+            comps.append((sorted(reached), sorted(e for e in g.edges if e[0] in reached)))
+    return comps
+
+
+def seeded_graphs(count):
+    """The empty graph, then isolated vertices, forests, a cycle with trees
+    and isolated vertices around it, and dense random graphs, in turn."""
+    yield Graph.make([], [])
+    for seed in range(count):
+        rng = random.Random(1500 + seed)
+        n = rng.randint(1, 10)
+        vs = [f"n{x}" for x in rng.sample(range(100), n)]  # sorted order != creation order
+        shape = seed % 4
+        if shape == 0:
+            es = []
+        elif shape == 1:
+            es = [(vs[rng.randrange(i)], vs[i]) for i in range(1, n) if rng.random() < 0.7]
+        elif shape == 2:
+            m = rng.randint(3, n) if n >= 3 else 0
+            es = [(vs[i], vs[(i + 1) % m]) for i in range(m)]
+            es += [(vs[rng.randrange(i)], vs[i]) for i in range(max(m, 1), n) if rng.random() < 0.5]
+        else:
+            es = [(a, b) for i, a in enumerate(vs) for b in vs[:i] if rng.random() < 0.3]
+        yield Graph.make(vs, es)
+
+
+def test_components_match_a_bfs_oracle():
+    shapes = {"empty": 0, "forest": 0, "cyclic": 0, "isolated": 0}
+    for g in seeded_graphs(200):
+        want = bfs_components(g)
+        assert connected_components(g) == want, g
+        assert components(g.sorted_vertices(), g.edges) == [vs for vs, _ in want], g
+        # members keep the input order; classes follow their first member
+        order = g.sorted_vertices()[::-1]
+        got = components(order, g.edges)
+        assert got == sorted(([v for v in order if v in vs] for vs, _ in want),
+                             key=lambda c: order.index(c[0])), g
+        assert validate_tree(g) == (len(want) == 1 and len(g.edges) == len(g.vertices) - 1)
+        shapes["empty"] += not g.vertices
+        shapes["forest"] += bool(g.edges) and first_homology_rank(g) == 0
+        shapes["cyclic"] += first_homology_rank(g) > 0
+        shapes["isolated"] += any(not g.neighbors(v) for v in g.vertices)
+    assert shapes["empty"] == 1 and min(shapes.values()) >= 1
+    assert min(shapes["forest"], shapes["cyclic"], shapes["isolated"]) >= 30, shapes
 
 
 def test_neighbors_built_once_and_invisible_to_equality():

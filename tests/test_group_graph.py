@@ -488,6 +488,33 @@ def test_support_and_components():
     assert support_components(gg) == [["b", ("b", "c")]]
 
 
+def test_support_components_match_bfs_over_the_star_incidence_graph():
+    from groupgraph.generators import random_regular_finite, random_regular_vector
+
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(1600 + seed)
+        t = random_tree(rng, rng.randint(1, 8))
+        graphs += [random_vector_group_graph(rng, t), random_finite_group_graph(rng, t),
+                   random_regular_vector(rng, max_vertices=8), random_regular_finite(rng)]
+    split = 0
+    for g in graphs:
+        # one BFS vertex per support star, named by its position in star order
+        supp = support(g)
+        name = {s: f"s{i:03d}" for i, s in enumerate(supp)}
+        links = [(name[v], name[e]) for v, e in g.base.incidences() if v in name and e in name]
+        star_graph = Graph.make(name.values(), links)
+        want, seen = [], set()
+        for s in supp:
+            if name[s] not in seen:
+                reached = star_graph.bfs([name[s]])
+                seen |= reached.keys()
+                want.append([x for x in supp if name[x] in reached])
+        assert support_components(g) == want, g.to_json()
+        split += len(want) > 1
+    assert split >= 40
+
+
 def test_trivial_support_is_empty():
     gg = vector_gg(["a", "b"], [("a", "b")], {"a": 0, "b": 0}, {("a", "b"): 0})
     assert support(gg) == []

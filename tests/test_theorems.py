@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -507,6 +509,33 @@ def test_active_count_equals_contracted_homology_rank():
         assert st.a - st.p == _contracted_rank(g), seed
         checked += 1
     assert checked >= 10
+
+
+def test_contracted_rank_with_a_vertex_named_star():
+    # "*" is a legal vertex name; the collapsed off-support node must not merge with it
+    from groupgraph.foliation import FoliationSpec, build_tf_red
+
+    star_spec = json.loads((Path(__file__).parent / "fixtures" / "star_vertex.json").read_text())
+    graphs = [build_tf_red(FoliationSpec.from_json(star_spec))]
+    for seed in range(200):
+        g = random_regular_vector(random.Random(2700 + seed), max_vertices=8, equidim=1)
+        supp = set(support(g))
+        monotone = all(
+            e in supp or all(v not in supp for v in e) for e in g.base.sorted_edges()
+        )
+        supp_vs = [v for v in g.base.sorted_vertices() if v in supp]
+        if monotone and supp_vs and len(supp_vs) < len(g.base.vertices):
+            # rename one support vertex to "*" by pulling back along the relabelling
+            rename = {v: "*" if v == supp_vs[-1] else v for v in g.base.vertices}
+            star_edges = [(rename[a], rename[b]) for a, b in g.base.edges]
+            star_base = Graph.make(rename.values(), star_edges)
+            inverse = {w: v for v, w in rename.items()}
+            graphs.append(pullback(GraphMorphism.make(star_base, g.base, inverse), g)[0])
+    assert len(graphs) >= 20
+    for g in graphs:
+        assert "*" in g.base.vertices
+        st = build_active_structure(g)
+        assert st.a - st.p == _contracted_rank(g), g.to_json()
 
 
 # --- tensor -----------------------------------------------------------------------------
