@@ -224,9 +224,10 @@ def _check_characterization(rng, budget):
         spec = FoliationSpec.from_json(random_injected_spec(rng, rng.randint(1, 4)))
         expected = "not-finite"
     try:
-        verdict, reports = foliation.is_finite_type(spec)
+        ctx = foliation.analyze(spec)
     except FoliationError:  # an invalid spec
         return False
+    verdict, reports = ctx.finite_type
     if verdict != expected:
         return False
     if verdict == "not-finite":
@@ -238,7 +239,7 @@ def _check_characterization(rng, budget):
         ]
         if not typed:
             return False
-    return foliation.characterization_crosscheck(spec)
+    return ctx.characterization["consistent"] is True  # None: an entirely green component
 
 
 def _informational_quotient_cycle(budget) -> dict:

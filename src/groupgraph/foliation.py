@@ -9,6 +9,8 @@ transverse-symmetry dimensions (0 or 1) on red elements.
 The analyzer computes cut-components, the red subgraph, the finite-type
 verdict with witnesses, and the moduli dimension of the universal deformation
 parameter space, the latter three ways with an exact agreement assertion.
+`analyze(spec)` validates and cuts a spec once; every stage is a property of
+the `Analysis` it returns.
 """
 
 from __future__ import annotations
@@ -283,10 +285,12 @@ def cut_graph(spec: FoliationSpec) -> tuple[Graph, list[Graph]]:
 
 
 @dataclass(frozen=True)
-class _Analysis:
-    """A validated spec with what every stage of one analysis reads: the
-    cut-components, the red subgraph (red vertices, red cut edges) and its
-    part in each component, and the iso/not-iso class of each cut incidence."""
+class Analysis:
+    """One analysis of a validated spec.  The fields are what every stage
+    reads: the cut-components, the red subgraph (red vertices, red cut edges)
+    and its part in each component, and the iso/not-iso class of each cut
+    incidence.  Each later stage is a property, computed once, on first use,
+    and shared by every reader."""
 
     spec: FoliationSpec
     comps: list[Graph]
@@ -296,12 +300,111 @@ class _Analysis:
 
     @cached_property
     def scan(self) -> list[dict]:
-        """The typed geodesics of every cut-component (see `_scan`), found
-        once per analysis, on first use, and shared by every reader."""
+        """The typed geodesics of every cut-component (see `_scan`)."""
         return _scan(self)
 
+    @cached_property
+    def finite_type(self) -> tuple[str, list[dict]]:
+        """The finite-type verdict, and per cut-component a report with
+        witnesses.
 
-def _analyze(spec: FoliationSpec) -> _Analysis:
+        A component with nonempty red part must have it connected and every
+        outward holonomy group generated by the edge holonomy (equal orders); a
+        component with empty red part needs a certificate vertex making the same
+        condition hold along the order it induces.
+        """
+        spec = self.spec
+        reports = []
+        for comp, red in zip(self.comps, self.red_per_comp):
+            red_vs = red.vertices
+            entry = {
+                "component": comp.to_json(),
+                "red": red.to_json(),
+                "status": "ok",
+                "certificate_vertex": None,
+                "witnesses": [],
+            }
+            if red_vs:
+                red_comps = connected_components(red)
+                if len(red_comps) > 1:
+                    entry["status"] = "fail"
+                    entry["witnesses"].append(_disconnection_witness(comp, red_comps))
+                else:
+                    # the red part is one subtree, so each green vertex has a
+                    # unique nearest red vertex: its parent chain toward red
+                    parent = comp.bfs(sorted(red_vs))
+                    failures = [
+                        v for v in comp.sorted_vertices()
+                        if v not in red_vs
+                        and spec.vertex_order[v] != spec.edge_holonomy[(v, edge(v, parent[v]))]["order"]
+                    ]
+                    if failures:
+                        entry["status"] = "fail"
+                        for v in failures:
+                            entry["witnesses"].append(_repulsivity_witness(self, parent, v))
+            else:
+                cert = None
+                for v in comp.sorted_vertices():
+                    if _certifies(spec, comp, v):
+                        cert = v
+                        break
+                if cert is None:
+                    entry["status"] = "fail"
+                    entry["witnesses"].append(
+                        {"type": "untyped", "reason": "no-certificate-vertex",
+                         "elements": comp.sorted_vertices()}
+                    )
+                else:
+                    entry["certificate_vertex"] = cert
+            reports.append(entry)
+        finite = all(entry["status"] == "ok" for entry in reports)
+        return ("finite" if finite else "not-finite"), reports
+
+    @cached_property
+    def entirely_green(self) -> list[list[str]]:
+        """Cut-components with no red element at all."""
+        return [
+            comp.sorted_vertices()
+            for comp, red in zip(self.comps, self.red_per_comp)
+            if not red.vertices and not red.edges
+        ]
+
+    @cached_property
+    def characterization(self) -> dict:
+        """Whether the finite-type verdict agrees with the exhaustive scan for
+        the four forbidden geodesic shapes: finite exactly when the scan finds
+        none.  The characterization assumes no entirely-green cut-component;
+        with one, the status is hypothesis-violated and nothing is compared."""
+        if self.entirely_green:
+            return {"status": "hypothesis-violated", "consistent": None}
+        finite = self.finite_type[0] == "finite"
+        return {"status": "ok", "consistent": finite == (not self.scan)}
+
+    @cached_property
+    def tf_red(self) -> GroupGraph:
+        """The rational vector-space graph over the red subgraph: tdims as
+        dimensions, identity restrictions exactly where orders make the
+        restriction an isomorphism."""
+        spec, red = self.spec, self.red
+        vobj = {v: VectorSpace(spec.vertex_tdim[v]) for v in red.vertices}
+        eobj = {e: VectorSpace(spec.edge_tdim[e]) for e in red.edges}
+        restrictions = {}
+        for v, e in red.incidences():
+            dv, de = vobj[v].dim, eobj[e].dim
+            if dv == 1 and de == 1:
+                restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], linalg.identity(1), validate=False)
+            else:
+                restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], linalg.zeros(de, dv), validate=False)
+        gg = GroupGraph(red, "vector", vobj, eobj, restrictions)
+        ok, violations = is_regular(gg)
+        if not ok:
+            raise VerificationError(f"restricted symmetry graph is not regular: {violations}")
+        return gg
+
+
+def analyze(spec: FoliationSpec) -> Analysis:
+    """The analysis of a spec, validated and cut once; raises FoliationError
+    listing the violations of an invalid spec."""
     cut, comps = cut_graph(spec)  # validates
     red_es = spec.red_edges()
     red = Graph(
@@ -324,18 +427,7 @@ def _analyze(spec: FoliationSpec) -> _Analysis:
                 if spec.vertex_order[v] == spec.edge_holonomy[(v, e)]["order"]
                 else "not-iso"
             )
-    return _Analysis(spec, comps, red, red_per_comp, classes)
-
-
-def red_subgraph(spec: FoliationSpec) -> tuple[Graph, list[Graph]]:
-    """Red vertices and red edges, and the red part of each cut-component."""
-    ctx = _analyze(spec)
-    return ctx.red, ctx.red_per_comp
-
-
-def classify_restrictions(spec: FoliationSpec) -> dict:
-    """iso / not-iso per cut-graph incidence, derived from orders and tdims."""
-    return _analyze(spec).classes
+    return Analysis(spec, comps, red, red_per_comp, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +450,7 @@ def _paths_from(comp: Graph, start: str):
     return out
 
 
-def _classify_path(ctx: _Analysis, path: list):
+def _classify_path(ctx: Analysis, path: list):
     """Match a path against the four forbidden geodesic shapes (or None)."""
     red_vs, classes = ctx.red.vertices, ctx.classes
     verts = path[0::2]
@@ -386,13 +478,7 @@ def _classify_path(ctx: _Analysis, path: list):
     return None
 
 
-def scan_typed_geodesics(spec: FoliationSpec) -> list[dict]:
-    """Exhaustive scan of every geodesic in every cut-component for the four
-    forbidden shapes."""
-    return _analyze(spec).scan
-
-
-def _scan(ctx: _Analysis) -> list[dict]:
+def _scan(ctx: Analysis) -> list[dict]:
     found = []
     for comp in ctx.comps:
         for start in comp.sorted_vertices():
@@ -402,73 +488,6 @@ def _scan(ctx: _Analysis) -> list[dict]:
                     found.append({"type": t, "elements": path_to_json(path)})
     found.sort(key=lambda w: (w["type"], json.dumps(w["elements"])))
     return found
-
-
-def _tree_path(comp: Graph, u: str, w: str) -> list:
-    """The unique element path between two vertices of a tree component."""
-    return path_to_root(comp.bfs([w]), u)
-
-
-def is_finite_type(spec: FoliationSpec) -> tuple[str, list[dict]]:
-    """The finite-type verdict, per cut-component, with witnesses.
-
-    A component with nonempty red part must have it connected and every
-    outward holonomy group generated by the edge holonomy (equal orders); a
-    component with empty red part needs a certificate vertex making the same
-    condition hold along the order it induces.
-    """
-    return _is_finite_type(_analyze(spec))
-
-
-def _is_finite_type(ctx: _Analysis) -> tuple[str, list[dict]]:
-    spec = ctx.spec
-    reports = []
-    all_ok = True
-    for comp, red in zip(ctx.comps, ctx.red_per_comp):
-        red_vs = red.vertices
-        entry = {
-            "component": comp.to_json(),
-            "red": red.to_json(),
-            "status": "ok",
-            "certificate_vertex": None,
-            "witnesses": [],
-        }
-        if red_vs:
-            red_comps = connected_components(red)
-            if len(red_comps) > 1:
-                entry["status"] = "fail"
-                entry["witnesses"].append(_disconnection_witness(spec, comp, red_comps))
-            else:
-                # the red part is one subtree, so each green vertex has a
-                # unique nearest red vertex: its parent chain toward red
-                parent = comp.bfs(sorted(red_vs))
-                failures = [
-                    v for v in comp.sorted_vertices()
-                    if v not in red_vs
-                    and spec.vertex_order[v] != spec.edge_holonomy[(v, edge(v, parent[v]))]["order"]
-                ]
-                if failures:
-                    entry["status"] = "fail"
-                    for v in failures:
-                        entry["witnesses"].append(_repulsivity_witness(ctx, parent, v))
-        else:
-            cert = None
-            for v in comp.sorted_vertices():
-                if _certifies(spec, comp, v):
-                    cert = v
-                    break
-            if cert is None:
-                entry["status"] = "fail"
-                entry["witnesses"].append(
-                    {"type": "untyped", "reason": "no-certificate-vertex",
-                     "elements": comp.sorted_vertices()}
-                )
-            else:
-                entry["certificate_vertex"] = cert
-        if entry["status"] == "fail":
-            all_ok = False
-        reports.append(entry)
-    return ("finite" if all_ok else "not-finite"), reports
 
 
 def _certifies(spec: FoliationSpec, comp: Graph, v: str) -> bool:
@@ -481,22 +500,22 @@ def _certifies(spec: FoliationSpec, comp: Graph, v: str) -> bool:
     )
 
 
-def _disconnection_witness(spec: FoliationSpec, comp: Graph, red_comps) -> dict:
+def _disconnection_witness(comp: Graph, red_comps) -> dict:
     """A minimal geodesic between two red pieces: type 4 when adjacent,
-    type 3 otherwise."""
+    type 3 otherwise.  Two disjoint subtrees of a tree are joined by exactly
+    one shortest path, so one BFS from the second piece of a pair finds it."""
     best = None
     for i, (vs1, _) in enumerate(red_comps):
         for vs2, _ in red_comps[i + 1:]:
-            for u in vs1:
-                for w in vs2:
-                    path = _tree_path(comp, u, w)
-                    if best is None or len(path) < len(best):
-                        best = path
+            parent = comp.bfs(vs2)
+            path = min((path_to_root(parent, u) for u in vs1), key=len)
+            if best is None or len(path) < len(best):
+                best = path
     t = 4 if len(best) == 3 else 3
     return {"type": t, "elements": path_to_json(best)}
 
 
-def _repulsivity_witness(ctx: _Analysis, parent: dict, bad_vertex: str) -> dict:
+def _repulsivity_witness(ctx: Analysis, parent: dict, bad_vertex: str) -> dict:
     """Typed witness for a failing outward condition: the geodesic read from
     the red part toward the failing vertex, when it matches a listed shape;
     otherwise the first typed geodesic of the analysis's scan, else untyped.
@@ -510,31 +529,25 @@ def _repulsivity_witness(ctx: _Analysis, parent: dict, bad_vertex: str) -> dict:
     return {"type": "untyped", "reason": "generation-failure", "elements": path_to_json(path)}
 
 
-def entirely_green_check(spec: FoliationSpec) -> list[list[str]]:
-    """Cut-components with no red element at all."""
-    return _entirely_green(_analyze(spec))
+def scan_typed_geodesics(spec: FoliationSpec) -> list[dict]:
+    """Exhaustive scan of every geodesic in every cut-component for the four
+    forbidden shapes."""
+    return analyze(spec).scan
 
 
-def _entirely_green(ctx: _Analysis) -> list[list[str]]:
-    return [
-        comp.sorted_vertices()
-        for comp, red in zip(ctx.comps, ctx.red_per_comp)
-        if not red.vertices and not red.edges
-    ]
+def is_finite_type(spec: FoliationSpec) -> tuple[str, list[dict]]:
+    """The finite-type verdict with witnesses (see `Analysis.finite_type`)."""
+    return analyze(spec).finite_type
 
 
 def characterization_crosscheck(spec: FoliationSpec) -> bool:
     """Whether the finite-type verdict agrees with the exhaustive scan for
     the four forbidden geodesic shapes.  Requires no entirely-green
     cut-component."""
-    ctx = _analyze(spec)
-    greens = _entirely_green(ctx)
-    if greens:
-        raise HypothesisViolated("entirely green cut-components present", greens)
-    verdict, _ = _is_finite_type(ctx)
-    if verdict == "finite":
-        return not ctx.scan
-    return bool(ctx.scan)
+    ctx = analyze(spec)
+    if ctx.entirely_green:
+        raise HypothesisViolated("entirely green cut-components present", ctx.entirely_green)
+    return ctx.characterization["consistent"]
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +555,8 @@ def characterization_crosscheck(spec: FoliationSpec) -> bool:
 
 
 def build_tf_red(spec: FoliationSpec) -> GroupGraph:
-    """The rational vector-space graph over the red subgraph: tdims as
-    dimensions, identity restrictions exactly where orders make the
-    restriction an isomorphism."""
-    return _build_tf_red(_analyze(spec))
-
-
-def _build_tf_red(ctx: _Analysis) -> GroupGraph:
-    spec, red = ctx.spec, ctx.red
-    vobj = {v: VectorSpace(spec.vertex_tdim[v]) for v in red.vertices}
-    eobj = {e: VectorSpace(spec.edge_tdim[e]) for e in red.edges}
-    restrictions = {}
-    for v, e in red.incidences():
-        dv, de = vobj[v].dim, eobj[e].dim
-        if dv == 1 and de == 1:
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], linalg.identity(1), validate=False)
-        else:
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], linalg.zeros(de, dv), validate=False)
-    gg = GroupGraph(red, "vector", vobj, eobj, restrictions)
-    ok, violations = is_regular(gg)
-    if not ok:
-        raise VerificationError(f"restricted symmetry graph is not regular: {violations}")
-    return gg
+    """The restricted transverse-symmetry graph (see `Analysis.tf_red`)."""
+    return analyze(spec).tf_red
 
 
 def _contracted_rank(tf: GroupGraph) -> int:
@@ -616,16 +609,9 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
     """Full analysis: verdict, and the moduli dimension computed three ways
     (active edges, cochain rank, contracted-graph cycle rank) with exact
     agreement asserted."""
-    ctx = _analyze(spec)
-    verdict, comp_reports = _is_finite_type(ctx)
-    greens = _entirely_green(ctx)
-    tf = _build_tf_red(ctx)
-
-    if greens:
-        characterization = {"status": "hypothesis-violated", "consistent": None}
-    else:
-        consistent = (not ctx.scan) if verdict == "finite" else bool(ctx.scan)
-        characterization = {"status": "ok", "consistent": consistent}
+    ctx = analyze(spec)
+    verdict, comp_reports = ctx.finite_type
+    tf = ctx.tf_red
 
     active_json = None
     if verdict == "finite":
@@ -658,8 +644,8 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
         red_components=[c.to_json() for c in ctx.red_per_comp],
         finite_type=verdict,
         component_reports=comp_reports,
-        entirely_green=greens,
-        characterization=characterization,
+        entirely_green=ctx.entirely_green,
+        characterization=ctx.characterization,
         tf_red=tf.to_json(),
         moduli_dim=moduli,
         basis_edges=basis,

@@ -33,6 +33,7 @@ from .graph import (
 
 DEFAULT_GROUP_ORDER_CAP = 24
 DEFAULT_PRODUCT_ORDER_BUDGET = 4096
+CAYLEY_TABLE_CELLS = 1 << 20  # the most cells a built group table may hold
 
 
 class GroupGraphError(ValueError):
@@ -275,6 +276,13 @@ def _componentwise_group(factors: list[FiniteGroup], elems: list[tuple[int, ...]
     """The group on element tuples of the factors, closed under the
     componentwise product, identity first; the index of a tuple is its
     position in elems."""
+    cells = len(elems) ** 2
+    if cells > CAYLEY_TABLE_CELLS:
+        raise BudgetExceeded(
+            f"Cayley table of {len(elems)} elements ({cells} cells) exceeds budget "
+            f"{CAYLEY_TABLE_CELLS}",
+            {"cells": cells, "budget": CAYLEY_TABLE_CELLS},
+        )
     pos = {t: i for i, t in enumerate(elems)}
     table = [
         [pos[tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))] for b in elems]

@@ -41,12 +41,6 @@ def mat(rows) -> Matrix:
     return [[frac(x) for x in row] for row in rows]
 
 
-def shape(m: Matrix, ncols: int | None = None) -> tuple[int, int]:
-    if m:
-        return len(m), len(m[0])
-    return 0, 0 if ncols is None else ncols
-
-
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
 
@@ -206,15 +200,6 @@ def in_span(vectors: list[Vector], v: Vector) -> bool:
     return solve(cols, v, len(vectors)) is not None
 
 
-def inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(m)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return [row[n:] for row in r]
-
-
 def row_space_basis(m: Matrix) -> list[Vector]:
     r, pivots = rref(m)
     return [r[i] for i in range(len(pivots))]
@@ -258,31 +243,6 @@ def kron(a: Matrix, a_shape: tuple[int, int], b: Matrix, b_shape: tuple[int, int
                 for l in range(bc):
                     out[i * br + k][j * bc + l] = a[i][j] * b[k][l]
     return out
-
-
-def rank_mod_p(int_rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over the p-element field (test oracle)."""
-    rows = [[x % p for x in row] for row in int_rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rk = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if rows[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = pow(rows[row][col], -1, p)
-        rows[row] = [(x * inv) % p for x in rows[row]]
-        for i in range(nrows):
-            if i != row and rows[i][col] % p != 0:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[row])]
-        rk += 1
-        row += 1
-        if row == nrows:
-            break
-    return rk
 
 
 def frac_to_json(x: Fraction):

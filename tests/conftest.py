@@ -56,6 +56,31 @@ def finite_gg(vertices, edges, vgroups, egroups, homs=None):
     return GroupGraph(g, "finite", vobj, eobj, restrictions)
 
 
+def rank_mod_p(int_rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over the p-element field (test oracle)."""
+    rows = [[x % p for x in row] for row in int_rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rk = 0
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, nrows) if rows[i][col] % p != 0), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = pow(rows[row][col], -1, p)
+        rows[row] = [(x * inv) % p for x in rows[row]]
+        for i in range(nrows):
+            if i != row and rows[i][col] % p != 0:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[row])]
+        rk += 1
+        row += 1
+        if row == nrows:
+            break
+    return rk
+
+
 @pytest.fixture
 def segment_010():
     """Segment a--b with trivial vertex spaces and a line on the edge."""

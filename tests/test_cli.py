@@ -187,6 +187,46 @@ def test_selfcheck_unexpected_failure_exits_five(monkeypatch, capsys):
     assert out["failing_instance"] == {"family": "doomed", "index": 0, "seed": 0}
 
 
+def test_selfcheck_characterization_validates_once_per_check(monkeypatch):
+    calls = []
+    real = foliation.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(foliation, "validate", counting)
+    for seed in range(3):
+        for i in range(10):
+            calls.clear()
+            rng = cli._rng(seed, "characterization", i)
+            assert cli._check_characterization(rng, cli.DEFAULT_ENUM_BUDGET)
+            assert len(calls) == 1, (seed, i)
+
+
+def test_selfcheck_characterization_fails_on_an_entirely_green_component(monkeypatch, capsys):
+    green = {
+        "tree": {"vertices": ["D1", "D2"], "edges": [["D1", "D2"]]},
+        "vertices": {
+            "D1": {"kind": "invariant", "holonomy": {"finite": True, "order": 2}},
+            "D2": {"kind": "invariant", "holonomy": {"finite": True, "order": 2}},
+        },
+        "edges": {"D1#D2": {"kind": "singular", "holonomy": {
+            "D1": {"periodic": True, "order": 2}, "D2": {"periodic": True, "order": 2}}}},
+    }
+    # the spec the finite branch expects a finite verdict from, with no red element
+    monkeypatch.setattr(cli, "random_foliation_spec", lambda rng, **kwargs: green)
+    monkeypatch.setattr(cli, "FAMILIES", [f for f in cli.FAMILIES if f[0] == "characterization"])
+    finite_branch = [i for i in range(4) if cli._rng(0, "characterization", i).random() < 0.5]
+    assert finite_branch
+    code = cli.main(["selfcheck", "--seed", "0", "--count", "4"])
+    assert code == 5
+    out = json.loads(capsys.readouterr().out)
+    assert out["families"]["characterization"]["fail"] == len(finite_branch)
+    assert out["failing_instance"] == {
+        "family": "characterization", "index": finite_branch[0], "seed": 0}
+
+
 def test_selfcheck_is_byte_identical_across_runs():
     # the generators iterate frozensets, whose order changes with the hash seed
     expected = (FIXTURES / "selfcheck_s0_c10.json").read_text()
@@ -432,3 +472,26 @@ def test_malformed_group_graph_exits_with_a_message_not_a_traceback(
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("cannot read group-graph: ") and "Traceback" not in err
+
+
+def test_benchmark_tracer_names_resolve():
+    # the tracer reaches the program by name: a missing hook target reads 0,
+    # a missing method crashes `perfbench/run.py --trace 1`
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.HOOKS:
+        layer, attr = name.split(".")
+        mod = importlib.import_module(f"groupgraph.{layer}")
+        fn = getattr(mod, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == mod.__name__, name
+    for layer, methods in tracing.METHODS.items():
+        mod = importlib.import_module(f"groupgraph.{layer}")
+        for cls_name, meth in methods:
+            assert meth in vars(getattr(mod, cls_name)), (layer, cls_name, meth)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import finite_gg, vector_gg
+from conftest import finite_gg, rank_mod_p, vector_gg
 from groupgraph import linalg
 from groupgraph.generators import (
     automorphisms_of,
@@ -385,7 +385,7 @@ def test_elementary_abelian_matches_mod_p_linear_algebra():
                 row[vs.index(b)] += coeff[(b, (a, b))]
                 row[vs.index(a)] -= coeff[(a, (a, b))]
                 rows.append(row)
-            dim_h1 = len(g.edges) - linalg.rank_mod_p(rows, p)
+            dim_h1 = len(g.edges) - rank_mod_p(rows, p)
             assert count == p ** dim_h1
 
 

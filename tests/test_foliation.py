@@ -6,19 +6,17 @@ import pytest
 from groupgraph.foliation import (
     FoliationError,
     FoliationSpec,
+    analyze,
     build_tf_red,
     characterization_crosscheck,
-    classify_restrictions,
     cut_graph,
-    entirely_green_check,
     is_finite_type,
     moduli_dimension,
-    red_subgraph,
     scan_typed_geodesics,
     validate,
 )
-from groupgraph.foliation import _analyze, _certifies, _tree_path
-from groupgraph.graph import connected_components, edge, path_to_root
+from groupgraph.foliation import _certifies, _disconnection_witness
+from groupgraph.graph import Graph, connected_components, edge, path_to_json, path_to_root
 from groupgraph.theorems import HypothesisViolated
 from groupgraph.generators import (
     random_connected_subset,
@@ -205,14 +203,13 @@ def test_dicritical_star_center_isolates_leaves():
 
 
 def test_red_subgraph_cases():
-    assert red_subgraph(full_green_path())[0].vertices == frozenset()
-    spec = spec_of(red_segment())
-    red, per = red_subgraph(spec)
+    assert analyze(full_green_path()).red.vertices == frozenset()
+    red = analyze(spec_of(red_segment())).red
     assert len(red.vertices) == 2 and len(red.edges) == 1
 
     # two red vertices joined by a periodic (green) edge: disconnected red part
     spec4 = spec_of(type4_spec())
-    red4, _ = red_subgraph(spec4)
+    red4 = analyze(spec4).red
     assert len(red4.vertices) == 2 and not red4.edges
 
 
@@ -230,12 +227,12 @@ def test_classify_restrictions():
                       "holonomy": {"D2": green_inc(10), "D3": green_inc(2)}},
         },
     }
-    cls = classify_restrictions(spec_of(data))
+    cls = analyze(spec_of(data)).classes
     assert cls[("D1", ("D1", "D2"))] == "iso"  # orders 5 = 5
     assert cls[("D2", ("D1", "D2"))] == "not-iso"  # 10 != 5
     assert cls[("D3", ("D2", "D3"))] == "not-iso"  # red vertex into a green edge
     red = spec_of(red_segment(tdim_a=1, tdim_b=0, edge_tdim=1))
-    cls = classify_restrictions(red)
+    cls = analyze(red).classes
     assert cls[("D1", ("D1", "D2"))] == "iso"  # tdims 1 = 1
     assert cls[("D2", ("D1", "D2"))] == "not-iso"  # tdim 0 into 1
 
@@ -315,8 +312,21 @@ def test_empty_red_component_without_certificate():
 
 
 def test_entirely_green_check():
-    assert entirely_green_check(spec_of(red_segment())) == []
-    assert entirely_green_check(full_green_path()) == [["D1", "D2", "D3"]]
+    assert analyze(spec_of(red_segment())).entirely_green == []
+    assert analyze(full_green_path()).entirely_green == [["D1", "D2", "D3"]]
+
+
+def test_moduli_report_carries_the_analysis_characterization():
+    specs = [full_green_path()]
+    for seed in range(20):
+        specs.append(spec_of(random_foliation_spec(random.Random(seed))))
+        specs.append(spec_of(random_injected_spec(random.Random(seed), 1 + seed % 4)))
+    for spec in specs:
+        expected = analyze(spec).characterization
+        assert moduli_dimension(spec).characterization == expected
+        if expected["status"] == "ok":
+            assert characterization_crosscheck(spec) is expected["consistent"]
+    assert moduli_dimension(specs[0]).characterization["status"] == "hypothesis-violated"
 
 
 def test_verdict_invariant_under_relabeling():
@@ -542,7 +552,7 @@ def check_red_parent_map(comp, red_vs):
 def check_tree_paths(comp):
     for u in comp.sorted_vertices():
         for w in comp.sorted_vertices():
-            assert _tree_path(comp, u, w) == oracle_tree_path(comp, u, w)
+            assert path_to_root(comp.bfs([w]), u) == oracle_tree_path(comp, u, w)
 
 
 def test_red_parent_map_and_tree_paths_match_oracles_on_random_trees():
@@ -565,7 +575,7 @@ def test_red_parent_map_and_certificates_match_oracles_on_generated_specs():
     greens = certified = 0
     for data in specs:
         spec = spec_of(data)
-        ctx = _analyze(spec)
+        ctx = analyze(spec)
         for comp, red in zip(ctx.comps, ctx.red_per_comp):
             check_tree_paths(comp)
             if not red.vertices:
@@ -575,3 +585,71 @@ def test_red_parent_map_and_certificates_match_oracles_on_generated_specs():
             elif len(connected_components(red)) == 1:
                 greens += check_red_parent_map(comp, red.vertices)
     assert greens > 100 and certified > 20
+
+
+def oracle_disconnection_witness(comp, red_comps):
+    """The pairwise search: one tree path per vertex pair across two red pieces."""
+    best = None
+    for i, (vs1, _) in enumerate(red_comps):
+        for vs2, _ in red_comps[i + 1:]:
+            for u in vs1:
+                for w in vs2:
+                    path = oracle_tree_path(comp, u, w)
+                    if best is None or len(path) < len(best):
+                        best = path
+    return {"type": 4 if len(best) == 3 else 3, "elements": path_to_json(best)}
+
+
+def test_disconnection_witness_matches_the_pairwise_oracle():
+    cases = []
+    for seed in range(40):
+        for data in (random_foliation_spec(random.Random(seed)),
+                     random_injected_spec(random.Random(seed), 3 + seed % 2)):
+            ctx = analyze(spec_of(data))
+            cases += [(comp, red) for comp, red in zip(ctx.comps, ctx.red_per_comp)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        comp = random_tree(rng, rng.randint(2, 14)).graph
+        red_vs = frozenset(v for v in comp.vertices if rng.random() < 0.6)
+        red_es = frozenset(e for e in comp.edges if set(e) <= red_vs and rng.random() < 0.6)
+        cases.append((comp, Graph(red_vs, red_es)))
+    compared = multi_vertex = 0
+    for comp, red in cases:
+        red_comps = connected_components(red)
+        if len(red_comps) < 2:
+            continue
+        assert _disconnection_witness(comp, red_comps) == oracle_disconnection_witness(
+            comp, red_comps)
+        compared += 1
+        multi_vertex += any(len(vs) > 1 for vs, _ in red_comps)
+    assert compared > 150 and multi_vertex > 50
+
+
+def test_disconnection_witness_runs_one_bfs_per_pair_of_red_pieces(monkeypatch):
+    # an all-red path cut into two red pieces by one periodic edge
+    n = 60
+    names = [f"D{i:02d}" for i in range(n)]
+    edges = {}
+    for i in range(n - 1):
+        a, b = names[i], names[i + 1]
+        if i == n // 2:
+            edges[f"{a}#{b}"] = {"kind": "singular",
+                                 "holonomy": {a: green_inc(1), b: green_inc(1)}}
+        else:
+            edges[f"{a}#{b}"] = {"kind": "singular", "tdim": 1,
+                                 "holonomy": {a: RED_INC, b: RED_INC}}
+    ctx = analyze(spec_of({"tree": path_tree(*names),
+                           "vertices": {v: red_vertex(1) for v in names}, "edges": edges}))
+    calls = []
+    real = Graph.bfs
+
+    def counting(self, sources):
+        calls.append(sources)
+        return real(self, sources)
+
+    monkeypatch.setattr(Graph, "bfs", counting)
+    verdict, reports = ctx.finite_type
+    assert verdict == "not-finite"
+    mid = names[n // 2: n // 2 + 2]
+    assert reports[0]["witnesses"] == [{"type": 4, "elements": [mid[0], mid, mid[1]]}]
+    assert len(calls) == 1

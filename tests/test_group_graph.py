@@ -16,6 +16,7 @@ from groupgraph.generators import (
 )
 from groupgraph.graph import Graph, GraphMorphism, Tree, contract
 from groupgraph.group_graph import (
+    CAYLEY_TABLE_CELLS,
     DEFAULT_PRODUCT_ORDER_BUDGET,
     BudgetExceeded,
     FiniteGroup,
@@ -41,11 +42,12 @@ from groupgraph.group_graph import (
     support,
     support_components,
     tensor,
+    trivial_group,
     trivial_sub,
     _h0_basis_vector,
     _h0_subgroup_finite,
 )
-from groupgraph.cohomology import h0
+from groupgraph.cohomology import DEFAULT_ENUM_BUDGET, h0
 
 
 # --- carriers ----------------------------------------------------------------
@@ -259,6 +261,20 @@ def test_direct_image_empty_fiber_is_trivial():
     img, _ = direct_image(incl, gg)
     assert img.vobj["b"].order == 1
     assert img.vobj["a"].order == 5
+
+
+def test_cayley_table_budget_checked_before_the_table_is_built():
+    # 3^7 = 2,187 compatible families: under the enumeration budgets, but the
+    # group table over them would hold 4.8M cells
+    names = [f"v{i}" for i in range(7)]
+    gg = finite_gg(names, list(zip(names, names[1:])), {v: cyclic_group(3) for v in names},
+                   {e: trivial_group() for e in zip(names, names[1:])})
+    _, c = contract(Tree(gg.base), set(names))
+    with pytest.raises(BudgetExceeded, match="Cayley table of 2187 elements") as exc:
+        direct_image(c, gg, budget=DEFAULT_ENUM_BUDGET)
+    assert exc.value.sizes == {"cells": 2187 ** 2, "budget": CAYLEY_TABLE_CELLS}
+    with pytest.raises(BudgetExceeded, match="Cayley table"):
+        direct_product_group([cyclic_group(3)] * 7, budget=DEFAULT_ENUM_BUDGET)
 
 
 def oracle_direct_image(phi, g, budget=DEFAULT_PRODUCT_ORDER_BUDGET):
