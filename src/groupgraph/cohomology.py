@@ -156,6 +156,23 @@ class CohomologyResult:
     def _im_basis(self) -> list | None:
         return self._bases[1]
 
+    @cached_property
+    def _b1_echelon(self) -> tuple[list, list[int]]:
+        """`h1_class_coordinates`' data, built on first use: B1's
+        `linalg.last_entry_echelon` rows as (t, nonzero entries off t), and
+        the free positions (those no row has as its t), in order.  The H1
+        basis is the unit vectors at the free positions, so there are dim of
+        them among the dim + rank coordinates."""
+        if self._im_basis is None:
+            raise GroupGraphError("result carries no coboundary data (B1 basis)")
+        rows = [
+            (t, [(j, x) for j, x in enumerate(row) if x and j != t])
+            for t, row in linalg.last_entry_echelon(self._im_basis)
+        ]
+        spanned = {t for t, _ in rows}
+        free = [i for i in range(len(self.basis) + len(rows)) if i not in spanned]
+        return rows, free
+
     def size(self):
         """Uniform handle on the result size: dimension or class count."""
         return self.dim if self.carrier == "vector" else self.count
@@ -224,21 +241,21 @@ def h1_vector(g: GroupGraph) -> CohomologyResult:
 
 def h1_class_coordinates(result: CohomologyResult, z: Cocycle1) -> list[Fraction]:
     """Coordinates of a cocycle class in the chosen H1 basis (vector carrier),
-    solved on the tails concatenated over the sorted edges."""
+    on the tails concatenated over the sorted edges.
 
-    def flat(c: Cocycle1) -> list[Fraction]:
-        return [x for value in c.tail for x in value]
-
-    vec = flat(z)
-    basis_vecs = [flat(b) for b in result.basis]
-    span = basis_vecs + result._im_basis
-    if not span:
-        return []
-    cols = linalg.transpose(span)
-    sol = linalg.solve(cols, vec, len(span))
-    if sol is None:
-        raise GroupGraphError("cocycle does not lie in Z1 span (internal error)")
-    return sol[: len(basis_vecs)]
+    Subtracting vec[t] * row for every echelon row (t, row) of B1 leaves a
+    cohomologous vector with zeros at every t: a row is zero at the other
+    rows' t, so each vec[t] is read unchanged.  What remains is supported on
+    the free positions, where the basis vectors are the unit vectors, so its
+    entries there are the coordinates, which are unique."""
+    rows, free = result._b1_echelon
+    vec = [x for value in z.tail for x in value]
+    for t, entries in rows:
+        c = vec[t]
+        if c:
+            for j, x in entries:
+                vec[j] -= c * x
+    return [vec[i] for i in free]
 
 
 def _orbits(g: GroupGraph, budget: int, witnesses: bool = False):

@@ -205,18 +205,30 @@ def row_space_basis(m: Matrix) -> list[Vector]:
     return [r[i] for i in range(len(pivots))]
 
 
+def last_entry_echelon(vectors: list[Vector]) -> list[tuple[int, Vector]]:
+    """The reduced echelon basis of span(vectors) with its columns reversed,
+    read back in the original column order: one pair (t, row) per pivot.
+
+    Each row has a 1 at t, zeros at the other rows' t and zeros after t, so
+    the t are exactly the last nonzero positions that vectors of the span can
+    have (reversing the columns turns last nonzero entries into first ones,
+    and the first nonzero positions of a subspace are the pivot columns of
+    its rref).  Rows come in decreasing t.
+    """
+    dim = len(vectors[0]) if vectors else 0
+    r, pivots = rref([v[::-1] for v in vectors])
+    return [(dim - 1 - p, r[i][::-1]) for i, p in enumerate(pivots)]
+
+
 def extend_to_basis(vectors: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing `vectors` to a basis of Q^dim.
 
     The choice is the greedy one in coordinate order (add e_i when it raises
     the rank), computed from a single rref.  Greedy skips e_i exactly when
-    some vector of span(vectors) has its last nonzero entry at i.  Reversing
-    the columns turns last nonzero entries into first ones, and the first
-    nonzero positions of a subspace are the pivot columns of its rref, so the
-    chosen indices are the complement of {dim - 1 - p} over those pivots p.
+    some vector of span(vectors) has its last nonzero entry at i, so the
+    chosen indices are the complement of `last_entry_echelon`'s positions.
     """
-    _, pivots = rref([v[::-1] for v in vectors])
-    spanned = {dim - 1 - p for p in pivots}
+    spanned = {t for t, _ in last_entry_echelon(vectors)}
     return [i for i in range(dim) if i not in spanned]
 
 

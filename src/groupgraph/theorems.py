@@ -128,12 +128,96 @@ def _orbit_witnesses(g: GroupGraph, budget: int):
     )
 
 
-def _min_preimage(data, value, domain=None) -> int:
-    it = domain if domain is not None else range(len(data))
-    for x in sorted(it):
-        if data[x] == value:
-            return x
-    raise VerificationError("no preimage found where one must exist")
+def _min_preimages(table, domain) -> dict:
+    """Each value of table over domain, mapped to its smallest preimage."""
+    out = {}
+    for x in sorted(domain):
+        out.setdefault(table[x], x)
+    return out
+
+
+def _preimage(preimages: dict, value) -> int:
+    try:
+        return preimages[value]
+    except KeyError:
+        raise VerificationError("no preimage found where one must exist") from None
+
+
+class _QuotientLift:
+    """The constructive lift of the inductive proof, compiled once per
+    (g, k, proj, quotient witness).  Calling it on two cocycles whose
+    projections are cohomologous produces a vertex family (k_v) with (k_v)
+    acting on z giving exactly h.  The induction runs outward from the
+    lexicographically smallest root, each vertex after its parent."""
+
+    def __init__(self, g: GroupGraph, k: SubGroupGraph, proj: GroupGraphMorphism, quotient_witness):
+        self.g, self.k, self.proj = g, k, proj
+        self.witness, self.class_rep = quotient_witness
+        self.vs = g.base.sorted_vertices()
+        self.lift_v = {
+            v: _min_preimages(proj.maps[v].data, range(g.vobj[v].order)) for v in self.vs
+        }
+        # the induction needs unique parent edges; visit order is parent-first
+        self.root = min(self.vs)
+        parent = subtree_parents(Tree(g.base), {self.root})
+        # per edge, in tail order: its parent end v, its child end w, rho_v, rho_w
+        self.edges = []
+        for e in g.base.sorted_edges():
+            v, w = e if parent[e[1]] == e[0] else e[::-1]
+            self.edges.append((e, v, w, g.restriction(v, e).data, g.restriction(w, e).data))
+        pos = {e: i for i, (e, *_) in enumerate(self.edges)}
+        # per non-root vertex w, in visit order: its parent, the index of the
+        # edge between them, and the smallest preimage in k_w of each rho_w value
+        self.steps = []
+        for w, par in parent.items():
+            if par is not None:
+                i = pos[(min(par, w), max(par, w))]
+                self.steps.append((w, par, i, _min_preimages(self.edges[i][4], k.subs[w])))
+        self.pushed = {}  # pushed tails of the z seen so far: the class representatives
+
+    def __call__(self, z: Cocycle1, h: Cocycle1) -> Cochain0:
+        g, quo = self.g, self.proj.target
+        if z.tail not in self.pushed:
+            self.pushed[z.tail] = push_cocycle(self.proj, z).tail
+        tz, th = self.pushed[z.tail], push_cocycle(self.proj, h).tail
+        if self.class_rep[tz] != self.class_rep[th]:
+            raise HypothesisViolated("projected cocycles are not cohomologous", [])
+        # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph
+        c1, c2 = self.witness[tz], self.witness[th]
+        cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(c1[v]), c2[v]) for v in self.vs}
+
+        # lift the quotient family and solve for the edge correction in the kernel
+        gv = {v: _preimage(self.lift_v[v], cbar[v]) for v in self.vs}
+        zv, ge = [], []  # per edge: z at its parent end, and the correction
+        for (e, v, w, rho_v, rho_w), zx, hx in zip(self.edges, z.tail, h.tail):
+            grp = g.eobj[e]
+            if v != e[0]:  # the values at the parent end
+                zx, hx = grp.inv(zx), grp.inv(hx)
+            expr = grp.mul(grp.mul(grp.inv(rho_v[gv[v]]), zx), rho_w[gv[w]])
+            zv.append(zx)
+            ge.append(grp.mul(grp.inv(expr), hx))
+            if ge[-1] not in self.k.subs[e]:
+                raise VerificationError("edge correction left the kernel sub-group-graph")
+
+        kv = {self.root: gv[self.root]}
+        fprime = {self.root: 0}
+        for w, par, i, kernel_preimage in self.steps:
+            e_w, _, _, rho_par, rho_w = self.edges[i]
+            grp_e, grp_w = g.eobj[e_w], g.vobj[w]
+            gprime_w = _preimage(kernel_preimage, ge[i])
+            gg = grp_e.mul(
+                grp_e.mul(grp_e.inv(rho_par[kv[par]]), zv[i]),
+                rho_w[grp_w.mul(gv[w], gprime_w)],
+            )
+            tilde = grp_e.mul(grp_e.mul(grp_e.inv(gg), rho_par[fprime[par]]), gg)
+            fprime[w] = grp_w.mul(gprime_w, _preimage(kernel_preimage, tilde))
+            kv[w] = grp_w.mul(gv[w], fprime[w])
+
+        cochain = Cochain0(g, kv)
+        acted = coboundary_action(cochain, z, g)
+        if acted.tail != h.tail:
+            raise VerificationError("constructive lift failed to trivialize the pair")
+        return cochain
 
 
 def quotient_lift(
@@ -144,76 +228,10 @@ def quotient_lift(
     h: Cocycle1,
     quotient_witness,
 ) -> Cochain0:
-    """Realize the inductive proof: produce a vertex family (k_v) with
-    (k_v) acting on z giving exactly h, for two cocycles whose projections are
-    cohomologous.  The induction runs outward from the lexicographically
-    smallest root, each vertex after its parent."""
-    base = g.base
-    vs = base.sorted_vertices()
-    edges = base.sorted_edges()
-    quo = proj.target
-
-    pz = push_cocycle(proj, z)
-    ph = push_cocycle(proj, h)
-    witness, class_rep = quotient_witness
-    tz, th = pz.tail, ph.tail
-    if class_rep[tz] != class_rep[th]:
-        raise HypothesisViolated("projected cocycles are not cohomologous", [])
-    # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph
-    c1, c2 = witness[tz], witness[th]
-    cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(c1[v]), c2[v]) for v in vs}
-
-    # lift the quotient family and solve for the edge correction in the kernel
-    gv = {v: _min_preimage(proj.maps[v].data, cbar[v]) for v in vs}
-
-    # the induction needs unique parent edges; visit order is parent-first
-    root = min(vs)
-    parent = subtree_parents(Tree(base), {root})
-
-    pos = {e: i for i, e in enumerate(edges)}
-
-    def at(c: Cocycle1, v: str, e: Edge) -> int:
-        """The value of c at the incidence (v, e)."""
-        x = c.tail[pos[e]]
-        return x if v == e[0] else g.eobj[e].inv(x)
-
-    ge = {}
-    for e in edges:
-        v, w = e if parent[e[1]] == e[0] else e[::-1]  # v is w's parent
-        grp = g.eobj[e]
-        rv = g.restriction(v, e).apply(gv[v])
-        rw = g.restriction(w, e).apply(gv[w])
-        expr = grp.mul(grp.mul(grp.inv(rv), at(z, v, e)), rw)
-        ge[e] = grp.mul(grp.inv(expr), at(h, v, e))
-        if ge[e] not in k.subs[e]:
-            raise VerificationError("edge correction left the kernel sub-group-graph")
-
-    kv = {root: gv[root]}
-    fprime = {root: 0}
-    for w, par in parent.items():
-        if par is None:
-            continue
-        e_w = (min(par, w), max(par, w))
-        grp_e = g.eobj[e_w]
-        grp_w = g.vobj[w]
-        rho_w = g.restriction(w, e_w)
-        rho_par = g.restriction(par, e_w)
-        rho_w_table = [rho_w.apply(x) for x in range(grp_w.order)]
-        gprime_w = _min_preimage(rho_w_table, ge[e_w], domain=sorted(k.subs[w]))
-        gg = grp_e.mul(
-            grp_e.mul(grp_e.inv(rho_par.apply(kv[par])), at(z, par, e_w)),
-            rho_w.apply(grp_w.mul(gv[w], gprime_w)),
-        )
-        tilde = grp_e.mul(grp_e.mul(grp_e.inv(gg), rho_par.apply(fprime[par])), gg)
-        tilde_w = _min_preimage(rho_w_table, tilde, domain=sorted(k.subs[w]))
-        fprime[w] = grp_w.mul(gprime_w, tilde_w)
-        kv[w] = grp_w.mul(gv[w], fprime[w])
-
-    cochain = Cochain0(g, kv)
-    acted = coboundary_action(cochain, z, g)
-    if acted.tail != h.tail:
-        raise VerificationError("constructive lift failed to trivialize the pair")
-    return cochain
+    """Realize the inductive proof on one pair: produce a vertex family (k_v)
+    with (k_v) acting on z giving exactly h, for two cocycles whose
+    projections are cohomologous (see `_QuotientLift`)."""
+    return _QuotientLift(g, k, proj, quotient_witness)(z, h)
 
 
 def quotient_iso_verify(
@@ -243,13 +261,12 @@ def quotient_iso_verify(
     lifted = 0
     failures = []
     if require_tree:
-        qw = _orbit_witnesses(quo, budget)
+        lift = _QuotientLift(g, k, proj, _orbit_witnesses(quo, budget))
         src = mp.source_result
         # every cocycle against its class representative, class by class
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
-            other = Cocycle1(g, t)
             try:
-                quotient_lift(g, k, proj, src.representatives[c], other, qw)
+                lift(src.representatives[c], Cocycle1(g, t))
                 lifted += 1
             except VerificationError as exc:
                 failures.append((c, t, str(exc)))

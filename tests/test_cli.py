@@ -187,6 +187,23 @@ def test_selfcheck_unexpected_failure_exits_five(monkeypatch, capsys):
     assert out["failing_instance"] == {"family": "doomed", "index": 0, "seed": 0}
 
 
+def test_selfcheck_reports_a_verifier_error_and_goes_on(monkeypatch, capsys):
+    # a wrong contracted rank makes the moduli pipelines disagree
+    monkeypatch.setattr(foliation, "_contracted_rank", lambda tf: -1)
+    code = cli.main(["selfcheck", "--count", "2"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out)
+    assert list(out["families"]) == sorted(name for name, _, _ in cli.FAMILIES)
+    assert out["families"]["moduli_triple"] == {"pass": 0, "fail": 2}
+    assert out["families"]["tensor"] == {"pass": 2, "fail": 0}
+    failing = out["failing_instance"]
+    assert (failing["family"], failing["index"], failing["seed"]) == ("moduli_triple", 0, 0)
+    assert failing["error"].startswith("moduli pipelines disagree")
+    assert "quotient_over_cycle" in out["informational"]
+
+
 def test_selfcheck_characterization_validates_once_per_check(monkeypatch):
     calls = []
     real = foliation.validate

@@ -32,6 +32,7 @@ from groupgraph.group_graph import (
     pullback,
     quotient_with_projection,
     remove_offsupport_edges,
+    tensor,
     trivial_group,
     trivial_group_graph,
 )
@@ -47,7 +48,7 @@ from groupgraph.cohomology import (
     h1_vector,
     push_cocycle,
 )
-from groupgraph.theorems import _orbit_witnesses
+from groupgraph.theorems import _orbit_witnesses, regular_h1
 
 
 def seg_gg_finite(va, vb, e, hom_a=None, hom_b=None):
@@ -757,6 +758,87 @@ def test_lazy_basis_is_checked_against_dim():
     res.dim += 1  # a rank that disagrees with the dense basis
     with pytest.raises(RuntimeError, match="disagrees with dim"):
         res.basis
+
+
+def oracle_h1_class_coordinates(result, z):
+    """Coordinates of a cocycle class by one dense solve against the H1 basis
+    and the B1 basis together (the span solve the echelon reduction replaced)."""
+    vec = flat(z)
+    basis_vecs = [flat(b) for b in result.basis]
+    span = basis_vecs + result._im_basis
+    if not span:
+        return []
+    sol = linalg.solve(linalg.transpose(span), vec, len(span))
+    assert sol is not None, "a cocycle outside the span of H1 and B1"
+    return sol[: len(basis_vecs)]
+
+
+def _tensor_instances():
+    for seed in range(60):
+        rng = random.Random(6000 + seed)
+        t = random_vector_group_graph(rng, random_tree(rng, rng.randint(1, 5)))
+        for w in range(4):
+            yield tensor(t, VectorSpace(w))
+
+
+def test_class_coordinates_match_the_span_solve_oracle():
+    kinds = {"dim0": 0, "b1_free": 0, "coboundary": 0, "random": 0}
+    for gg in itertools.chain(_vector_instances(), _tensor_instances()):
+        res = h1_vector(gg)
+        rng = random.Random(len(gg.base.edges) * 1000 + res.dim)
+        edges = gg.base.sorted_edges()
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in res.basis]
+        # a combination of basis vectors: its B1 part is zero
+        b1_free = Cocycle1(gg, (
+            [sum((a * b.tail[k][i] for a, b in zip(coords, res.basis)), Fraction(0))
+             for i in range(gg.eobj[e].dim)]
+            for k, e in enumerate(edges)
+        ))
+        c = Cochain0(gg, {
+            v: [Fraction(rng.randint(-3, 3)) for _ in range(gg.vobj[v].dim)]
+            for v in gg.base.vertices
+        })
+        coboundary = coboundary_action(c, Cocycle1.trivial(gg), gg)
+        random_z = Cocycle1(gg, (
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(gg.eobj[e].dim)]
+            for e in edges
+        ))
+        assert h1_class_coordinates(res, b1_free) == coords == oracle_h1_class_coordinates(
+            res, b1_free)
+        assert h1_class_coordinates(res, coboundary) == [Fraction(0)] * res.dim
+        assert oracle_h1_class_coordinates(res, coboundary) == [Fraction(0)] * res.dim
+        assert h1_class_coordinates(res, random_z) == oracle_h1_class_coordinates(res, random_z)
+        kinds["dim0"] += res.dim == 0
+        kinds["b1_free"] += any(coords)
+        kinds["coboundary"] += not coboundary.is_trivial()
+        kinds["random"] += 1
+    assert kinds["random"] >= 800 and min(kinds.values()) >= 50, kinds
+
+
+def test_class_coordinates_reduce_with_one_rref_per_result(monkeypatch):
+    rref_calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: rref_calls.append(1) or real(m))
+    t = random_vector_group_graph(random.Random(7), random_tree(random.Random(7), 5))
+    tens = tensor(t, VectorSpace(2))
+    res = h1_vector(tens)
+    z = Cocycle1(tens, ([Fraction(k + 1)] * tens.eobj[e].dim
+                        for k, e in enumerate(tens.base.sorted_edges())))
+    first = h1_class_coordinates(res, z)
+    assert rref_calls
+    rref_calls.clear()
+    for _ in range(5):
+        assert h1_class_coordinates(res, z) == first
+    assert not rref_calls
+
+
+def test_class_coordinates_need_coboundary_data():
+    # the active-edge result of regular_h1 carries a basis but no B1 basis
+    g = random_regular_vector(random.Random(0))
+    _, res = regular_h1(g, crosscheck=False)
+    assert res._im_basis is None
+    with pytest.raises(GroupGraphError, match="no coboundary data"):
+        h1_class_coordinates(res, Cocycle1.trivial(g))
 
 
 # --- induced maps ---------------------------------------------------------------------

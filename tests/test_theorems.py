@@ -5,7 +5,16 @@ from pathlib import Path
 import pytest
 
 from conftest import finite_gg, vector_gg
-from groupgraph.graph import Graph, GraphError, GraphMorphism, Tree, contract, edge, precedes
+from groupgraph.graph import (
+    Graph,
+    GraphError,
+    GraphMorphism,
+    Tree,
+    contract,
+    edge,
+    precedes,
+    subtree_parents,
+)
 from groupgraph.group_graph import (
     GroupGraph,
     GroupGraphError,
@@ -20,14 +29,17 @@ from groupgraph.group_graph import (
     trivial_group,
 )
 from groupgraph.cohomology import (
+    Cochain0,
     Cocycle1,
     coboundary_action,
     h1_class_of,
     h1_finite_bruteforce,
     h1_vector,
+    push_cocycle,
 )
 from groupgraph.theorems import (
     HypothesisViolated,
+    VerificationError,
     RepulsivityReport,
     build_active_structure,
     check_repulsive,
@@ -40,6 +52,7 @@ from groupgraph.theorems import (
     restrict,
     tensor_h1_verify,
     _orbit_witnesses,
+    _QuotientLift,
 )
 from groupgraph.generators import (
     random_connected_subset,
@@ -276,6 +289,131 @@ def test_constructive_lift_yields_trivializing_cochain():
     cochain = quotient_lift(gg, k, proj, rep, other, witnesses)
     acted = coboundary_action(cochain, rep, gg)
     assert acted.tail == other.tail
+
+
+def _min_preimage(data, value, domain=None) -> int:
+    it = domain if domain is not None else range(len(data))
+    for x in sorted(it):
+        if data[x] == value:
+            return x
+    raise VerificationError("no preimage found where one must exist")
+
+
+def oracle_quotient_lift(g, k, proj, z, h, quotient_witness):
+    """The lift of the inductive proof for one pair, with all per-graph work
+    done again on every call and every preimage found by a linear scan (the
+    slow oracle for the compiled `_QuotientLift`)."""
+    base = g.base
+    vs = base.sorted_vertices()
+    edges = base.sorted_edges()
+    quo = proj.target
+
+    pz = push_cocycle(proj, z)
+    ph = push_cocycle(proj, h)
+    witness, class_rep = quotient_witness
+    tz, th = pz.tail, ph.tail
+    if class_rep[tz] != class_rep[th]:
+        raise HypothesisViolated("projected cocycles are not cohomologous", [])
+    c1, c2 = witness[tz], witness[th]
+    cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(c1[v]), c2[v]) for v in vs}
+    gv = {v: _min_preimage(proj.maps[v].data, cbar[v]) for v in vs}
+
+    root = min(vs)
+    parent = subtree_parents(Tree(base), {root})
+    pos = {e: i for i, e in enumerate(edges)}
+
+    def at(c, v, e):
+        x = c.tail[pos[e]]
+        return x if v == e[0] else g.eobj[e].inv(x)
+
+    ge = {}
+    for e in edges:
+        v, w = e if parent[e[1]] == e[0] else e[::-1]
+        grp = g.eobj[e]
+        rv = g.restriction(v, e).apply(gv[v])
+        rw = g.restriction(w, e).apply(gv[w])
+        expr = grp.mul(grp.mul(grp.inv(rv), at(z, v, e)), rw)
+        ge[e] = grp.mul(grp.inv(expr), at(h, v, e))
+        if ge[e] not in k.subs[e]:
+            raise VerificationError("edge correction left the kernel sub-group-graph")
+
+    kv = {root: gv[root]}
+    fprime = {root: 0}
+    for w, par in parent.items():
+        if par is None:
+            continue
+        e_w = (min(par, w), max(par, w))
+        grp_e = g.eobj[e_w]
+        grp_w = g.vobj[w]
+        rho_w = g.restriction(w, e_w)
+        rho_par = g.restriction(par, e_w)
+        rho_w_table = [rho_w.apply(x) for x in range(grp_w.order)]
+        gprime_w = _min_preimage(rho_w_table, ge[e_w], domain=sorted(k.subs[w]))
+        gg = grp_e.mul(
+            grp_e.mul(grp_e.inv(rho_par.apply(kv[par])), at(z, par, e_w)),
+            rho_w.apply(grp_w.mul(gv[w], gprime_w)),
+        )
+        tilde = grp_e.mul(grp_e.mul(grp_e.inv(gg), rho_par.apply(fprime[par])), gg)
+        tilde_w = _min_preimage(rho_w_table, tilde, domain=sorted(k.subs[w]))
+        fprime[w] = grp_w.mul(gprime_w, tilde_w)
+        kv[w] = grp_w.mul(gv[w], fprime[w])
+
+    cochain = Cochain0(g, kv)
+    if coboundary_action(cochain, z, g).tail != h.tail:
+        raise VerificationError("constructive lift failed to trivialize the pair")
+    return cochain
+
+
+def _lift_instances():
+    yield z4_mod_2z4_segment()
+    for seed in range(50):
+        g, k = random_exact_sequence(random.Random(seed), max_vertices=3, good=True)
+        yield g, k
+        yield _reversed_names(g, k)
+
+
+def test_compiled_lift_matches_the_oracle():
+    pairs = rejected = 0
+    for g, k in _lift_instances():
+        quo, proj = quotient_with_projection(g, k)
+        qw = _orbit_witnesses(quo, 10**6)
+        lift = _QuotientLift(g, k, proj, qw)
+        src = h1_finite_bruteforce(g)
+        for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
+            rep, other = src.representatives[c], Cocycle1(g, t)
+            want = oracle_quotient_lift(g, k, proj, rep, other, qw).values
+            assert lift(rep, other).values == want, (t, c)
+            assert quotient_lift(g, k, proj, rep, other, qw).values == want
+            pairs += 1
+        # distinct classes project to distinct classes: the lift refuses the pair
+        for rep in src.representatives[1:]:
+            for fn in (lift, lambda z, h: oracle_quotient_lift(g, k, proj, z, h, qw)):
+                with pytest.raises(HypothesisViolated, match="not cohomologous"):
+                    fn(src.representatives[0], rep)
+            rejected += 1
+    assert pairs >= 2000 and rejected >= 10, (pairs, rejected)
+
+
+def test_quotient_iso_verify_compiles_the_lift_once(monkeypatch):
+    import groupgraph.theorems as theorems
+
+    calls = {"Tree": 0, "subtree_parents": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(theorems, "Tree", counted("Tree", theorems.Tree))
+    monkeypatch.setattr(
+        theorems, "subtree_parents", counted("subtree_parents", theorems.subtree_parents))
+    gg = constant_group_graph(Graph.make("abc", [("a", "b"), ("b", "c")]), cyclic_group(4))
+    k = SubGroupGraph(gg, {s: frozenset({0, 2}) for s in gg.stars()})
+    rpt = quotient_iso_verify(gg, k)
+    assert rpt["ok"] and rpt["lifted_pairs"] >= 16
+    # one tree check up front and one per compiled lift, whatever the pair count
+    assert calls == {"Tree": 2, "subtree_parents": 1}
 
 
 # --- direct image ------------------------------------------------------------------
