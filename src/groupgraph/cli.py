@@ -16,7 +16,15 @@ import random
 import sys
 
 from . import foliation
-from .cohomology import DEFAULT_ENUM_BUDGET, h0, h1_finite_bruteforce, h1_vector
+from .cohomology import (
+    DEFAULT_ENUM_BUDGET,
+    CohomologyResult,
+    h0,
+    h0_finite_count,
+    h1_finite_bruteforce,
+    h1_finite_count,
+    h1_vector,
+)
 from .foliation import FoliationError, FoliationSpec
 from .generators import (
     random_direct_image_pair,
@@ -83,6 +91,9 @@ def run_analyze(args) -> int:
     except FoliationError as exc:
         _emit(_dump({"violations": exc.violations}), args.output)
         return EXIT_VALIDATION
+    except VerificationError as exc:  # the library's own pipelines disagree
+        sys.stderr.write(f"verifier failure: {exc}\n")
+        return EXIT_VERIFIER
     if args.summary:
         lines = [
             f"finite_type: {report.finite_type}",
@@ -120,16 +131,24 @@ def run_cohomology(args) -> int:
     if mode == "vector" and gg.carrier != "vector":
         sys.stderr.write("mode 'vector' needs the vector carrier\n")
         return EXIT_ERROR
-    if mode == "bruteforce" and gg.carrier != "finite":
-        sys.stderr.write("mode 'bruteforce' needs the finite carrier\n")
+    if mode in ("bruteforce", "count") and gg.carrier != "finite":
+        sys.stderr.write(f"mode {mode!r} needs the finite carrier\n")
         return EXIT_ERROR
     try:
-        out = {"h0": h0(gg, args.budget).to_json()}
+        if mode == "count":  # sum-product counts: neither side is enumerated
+            order = h0_finite_count(gg, args.budget)
+            count = h1_finite_count(gg, args.budget)
+            out = {
+                "h0": CohomologyResult("h0", "finite", order=order).to_json(),
+                "h1": CohomologyResult("h1", "finite", count=count).to_json(),
+            }
+        else:
+            out = {"h0": h0(gg, args.budget).to_json()}
         if mode == "vector":
             out["h1"] = h1_vector(gg).to_json()
         elif mode == "bruteforce":
             out["h1"] = h1_finite_bruteforce(gg, args.budget).to_json()
-        else:  # regular
+        elif mode == "regular":
             st, res = regular_h1(gg, budget=args.budget)
             out["h1"] = res.to_json()
             out["active"] = st.to_json()
@@ -139,6 +158,9 @@ def run_cohomology(args) -> int:
     except ValueError as exc:  # not a tree / not regular for the regular mode
         sys.stderr.write(f"cannot run mode {mode!r}: {exc}\n")
         return EXIT_ERROR
+    except VerificationError as exc:  # the library's own pipelines disagree
+        sys.stderr.write(f"verifier failure: {exc}\n")
+        return EXIT_VERIFIER
     _emit(_dump(out), args.output)
     return EXIT_OK
 
@@ -163,7 +185,7 @@ def _check_regular_finite(rng, budget):
     expected = 1
     for e in st.a_prime:
         expected *= g.eobj[e].order
-    return res.count == expected == h1_finite_bruteforce(g, budget).count
+    return res.count == expected == h1_finite_count(g, budget)
 
 
 def _check_pruning(rng, budget):
@@ -243,9 +265,9 @@ def _check_characterization(rng, budget):
     return ctx.characterization["consistent"] is True  # None: an entirely green component
 
 
-def _informational_quotient_cycle(budget) -> dict:
-    """The quotient bijection checked over a non-tree, reported but never
-    asserted (the hypothesis needs a tree)."""
+def _z4_square():
+    """Z4 on every star of a square, each restriction x -> 3x, and the
+    sub-group-graph 2Z4 on every star."""
     from .group_graph import GroupHom, SubGroupGraph, cyclic_group
 
     square = Graph.make(
@@ -259,8 +281,13 @@ def _informational_quotient_cycle(budget) -> dict:
         for v, e in square.incidences()
     }
     g = GroupGraph(square, "finite", vobj, eobj, restrictions)
-    k = SubGroupGraph(g, {s: frozenset({0, 2}) for s in g.stars()})
-    report = quotient_iso_verify(g, k, budget, require_tree=False)
+    return g, SubGroupGraph(g, {s: frozenset({0, 2}) for s in g.stars()})
+
+
+def _informational_quotient_cycle(budget) -> dict:
+    """The quotient bijection checked over a non-tree, reported but never
+    asserted (the hypothesis needs a tree)."""
+    report = quotient_iso_verify(*_z4_square(), budget, require_tree=False)
     return {"bijective_on_cycle": report["bijective"]}
 
 
@@ -343,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--input", required=True)
     co.add_argument("--output")
     co.add_argument(
-        "--mode", choices=["auto", "vector", "bruteforce", "regular"], default="auto"
+        "--mode", choices=["auto", "vector", "bruteforce", "regular", "count"], default="auto"
     )
     co.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     co.set_defaults(func=run_cohomology)

@@ -48,6 +48,10 @@ class BudgetExceeded(RuntimeError):
         self.sizes = sizes
 
 
+class VerificationError(RuntimeError):
+    """An internal consistency assertion that must never fire did fire."""
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not 1
 

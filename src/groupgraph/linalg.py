@@ -79,7 +79,11 @@ def vec_neg(u: Vector) -> Vector:
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    The rows from the current one down are zero left of the current column,
+    so the pivot row is scaled (unless its pivot is 1) and subtracted only
+    over its nonzero columns, from the pivot column on."""
     r = [row[:] for row in m]
     nrows = len(r)
     ncols = len(r[0]) if r else 0
@@ -90,12 +94,18 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         r[row], r[pivot] = r[pivot], r[row]
-        inv = 1 / r[row][col]
-        r[row] = [x * inv for x in r[row]]
+        prow = r[row]
+        nonzero = [j for j in range(col, ncols) if prow[j] != 0]
+        if prow[col] != 1:
+            inv = 1 / prow[col]
+            for j in nonzero:
+                prow[j] *= inv
         for i in range(nrows):
-            if i != row and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [a - f * b for a, b in zip(r[i], r[row])]
+            f = r[i][col]
+            if i != row and f != 0:
+                ri = r[i]
+                for j in nonzero:
+                    ri[j] -= f * prow[j]
         pivots.append(col)
         row += 1
         if row == nrows:

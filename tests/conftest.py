@@ -56,6 +56,32 @@ def finite_gg(vertices, edges, vgroups, egroups, homs=None):
     return GroupGraph(g, "finite", vobj, eobj, restrictions)
 
 
+def dense_rref(m):
+    """Reduced row echelon form by full-row operations on every entry (test
+    oracle for linalg.rref); returns (R, pivot column indices)."""
+    r = [row[:] for row in m]
+    nrows = len(r)
+    ncols = len(r[0]) if r else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, nrows) if r[i][col] != 0), None)
+        if pivot is None:
+            continue
+        r[row], r[pivot] = r[pivot], r[row]
+        inv = 1 / r[row][col]
+        r[row] = [x * inv for x in r[row]]
+        for i in range(nrows):
+            if i != row and r[i][col] != 0:
+                f = r[i][col]
+                r[i] = [a - f * b for a, b in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return r, pivots
+
+
 def rank_mod_p(int_rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over the p-element field (test oracle)."""
     rows = [[x % p for x in row] for row in int_rows]

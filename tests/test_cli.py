@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from groupgraph import cli, foliation
+from groupgraph import cli, cohomology, foliation, theorems
+from groupgraph.generators import random_finite_group_graph, random_regular_finite, random_tree
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -149,6 +150,74 @@ def test_cohomology_regular_mode_emits_active_structure(tmp_path):
 def test_cohomology_mode_carrier_mismatch(tmp_path):
     path = write_json(tmp_path / "gg.json", vector_gg_json())
     assert run_cli("cohomology", "--input", path, "--mode", "bruteforce").returncode == 1
+
+
+def test_cohomology_count_mode_agrees_with_bruteforce(tmp_path, capsys):
+    graphs = [finite_gg_json(), cli._z4_square()[0].to_json()]
+    for seed in range(6):
+        rng = cli._rng(seed, "count", 0)
+        graphs.append(random_finite_group_graph(rng, random_tree(rng, rng.randint(1, 5))).to_json())
+        graphs.append(random_regular_finite(rng, max_vertices=5).to_json())
+    for i, data in enumerate(graphs):
+        path = write_json(tmp_path / f"gg{i}.json", data)
+        assert cli.main(["cohomology", "--input", path, "--mode", "bruteforce"]) == 0
+        brute = json.loads(capsys.readouterr().out)
+        assert cli.main(["cohomology", "--input", path, "--mode", "count"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {
+            "h0": {"carrier": "finite", "kind": "h0", "order": brute["h0"]["order"]},
+            "h1": {"carrier": "finite", "count": brute["h1"]["count"], "kind": "h1"},
+        }
+    path = write_json(tmp_path / "vector.json", vector_gg_json())
+    r = run_cli("cohomology", "--input", path, "--mode", "count")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "mode 'count' needs the finite carrier\n"
+
+
+def test_analyze_reports_a_verifier_error_with_exit_five(monkeypatch, capsys):
+    monkeypatch.setattr(foliation, "_contracted_rank", lambda tf: -1)
+    code = cli.main(["analyze", "--input", str(FIXTURES / "active_red_segment.json")])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("verifier failure: moduli pipelines disagree")
+    assert "Traceback" not in captured.err
+
+
+def test_cohomology_reports_a_verifier_error_with_exit_five(monkeypatch, capsys, tmp_path):
+    path = write_json(tmp_path / "gg.json", finite_gg_json())
+    monkeypatch.setattr(theorems, "h1_finite_count", lambda g, budget: -1)
+    code = cli.main(["cohomology", "--input", path, "--mode", "regular"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == (
+        "verifier failure: active-edge count 2 disagrees with the Burnside count -1\n"
+    )
+    # a Burnside sum with a remainder, in the count mode: only the trivial
+    # family of the Z4 square (|C0| = 256) keeps a nonzero product
+    path = write_json(tmp_path / "square.json", cli._z4_square()[0].to_json())
+    monkeypatch.setattr(cohomology, "_burnside_factor", lambda g, e: [1] + [0] * 15)
+    code = cli.main(["cohomology", "--input", path, "--mode", "count"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("verifier failure: Burnside sum 1 leaves remainder 1 modulo")
+
+
+def test_regular_finite_check_enumerates_no_cocycles(monkeypatch):
+    calls = []
+    real = cohomology._orbits
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "_orbits", counted)
+    monkeypatch.setattr(theorems, "_orbits", counted)
+    assert all(
+        cli._check_regular_finite(cli._rng(0, "regular_finite", i), 10**7) for i in range(20)
+    )
+    assert calls == []
+    cohomology.h1_finite_bruteforce(random_regular_finite(cli._rng(0, "regular_finite", 0)))
+    assert len(calls) == 1  # the guard sees an enumeration
 
 
 def test_cohomology_budget_exceeded_exits_four(tmp_path):

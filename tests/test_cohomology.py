@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import finite_gg, rank_mod_p, vector_gg
-from groupgraph import linalg
+from groupgraph import cohomology, linalg
+from groupgraph.cli import _z4_square
 from groupgraph.generators import (
     automorphisms_of,
     group_pool,
@@ -25,6 +27,7 @@ from groupgraph.group_graph import (
     GroupGraphMorphism,
     GroupHom,
     VectorSpace,
+    VerificationError,
     constant_group_graph,
     cyclic_group,
     dihedral_group,
@@ -41,9 +44,11 @@ from groupgraph.cohomology import (
     Cocycle1,
     coboundary_action,
     h0,
+    h0_finite_count,
     h1_class_coordinates,
     h1_class_of,
     h1_finite_bruteforce,
+    h1_finite_count,
     h1_map,
     h1_vector,
     push_cocycle,
@@ -614,6 +619,110 @@ def test_orbit_enumerator_matches_slow_oracle():
             assert _act_tail(gg, fam, class_rep[t]) == t
         checked += 1
     assert checked >= 300
+
+
+# --- finite counts by sum-product, against the enumerations -------------------------
+
+
+def _two_cycles(rng):
+    """A square with a chord (two independent cycles) over one group, D3 or
+    a small abelian one; each vertex group is that group or trivial, each
+    restriction an automorphism or trivial."""
+    name, grp = rng.choice(
+        [("D3", dihedral_group(3))] + [p for p in group_pool() if p[1].order <= 4]
+    )
+    auts = automorphisms_of(name, grp)
+    names = ["w", "x", "y", "z"]
+    edges = [("w", "x"), ("x", "y"), ("y", "z"), ("w", "z"), ("w", "y")]
+    vgroups = {v: grp if rng.random() < 0.8 else trivial_group() for v in names}
+    homs = {
+        (v, e): rng.choice(auts) if rng.random() < 0.8 else (0,) * grp.order
+        for e in edges
+        for v in e
+        if vgroups[v] is grp
+    }
+    return finite_gg(names, edges, vgroups, {e: grp for e in edges}, homs)
+
+
+def _count_instances():
+    for seed in range(300):
+        yield random_regular_finite(random.Random(seed), max_vertices=5, max_order=8)
+    for seed in range(60):
+        g, k = random_exact_sequence(random.Random(seed), max_vertices=3, good=seed % 3 > 0)
+        yield g
+        if seed % 3 > 0:
+            yield quotient_with_projection(g, k)[0]
+    for seed in range(40):
+        yield _dihedral_star(random.Random(1000 + seed))
+    for seed in range(40):
+        yield _one_cycle(random.Random(3000 + seed))
+    for seed in range(40):
+        yield _two_cycles(random.Random(4000 + seed))
+    yield _z4_square()[0]
+
+
+def test_sum_product_counts_match_the_enumerations():
+    cycles = nonabelian = 0
+    for gg in _count_instances():
+        assert h1_finite_count(gg) == h1_finite_bruteforce(gg).count, gg.to_json()
+        assert h0_finite_count(gg) == h0(gg).order, gg.to_json()
+        cycles += len(gg.base.edges) >= len(gg.base.vertices)
+        nonabelian += any(not grp.is_abelian() for grp in gg.eobj.values())
+    assert cycles >= 81 and nonabelian >= 40
+
+
+def test_counts_need_the_finite_carrier(segment_010):
+    for count in (h0_finite_count, h1_finite_count):
+        with pytest.raises(GroupGraphError, match="requires the finite carrier"):
+            count(segment_010)
+
+
+def test_burnside_remainder_raises_verification_error(monkeypatch):
+    gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(2))
+    assert h1_finite_count(gg) == 1
+    real = cohomology._burnside_factor
+
+    def off_by_one(g, e):
+        return [x + (i == 0) for i, x in enumerate(real(g, e))]
+
+    monkeypatch.setattr(cohomology, "_burnside_factor", off_by_one)
+    with pytest.raises(VerificationError, match="Burnside sum 5 leaves remainder 1 modulo"):
+        h1_finite_count(gg)
+
+
+def test_count_budget_is_checked_before_a_factor_is_built():
+    z16 = cyclic_group(16)
+    names = ["a", "b", "c", "d", "e"]
+    edges = list(itertools.combinations(names, 2))  # K5
+    gg = finite_gg(names, edges, {v: z16 for v in names}, {e: z16 for e in edges})
+    # an edge factor has 16^2 cells; summing out "a" (all degrees tie at 4)
+    # needs one over b, c, d, e with 16^4 = 65,536 cells, 8 bytes each
+    for count, stage in ((h0_finite_count, "H0 count"), (h1_finite_count, "H1 Burnside count")):
+        with pytest.raises(BudgetExceeded, match=f"{stage}: a factor over a, b has 256 cells"):
+            count(gg, 255)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                count(gg, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"{stage}: a factor over b, c, d, e has 65536 cells" in str(exc.value)
+        assert exc.value.sizes == {"candidates": 65536, "budget": 256}
+        assert peak < 65536 * 8 // 4
+
+
+def test_regular_h1_crosscheck_needs_no_enumeration_budget():
+    # a 12-vertex Z2 path: |Z1| = 2^11 and |C0| = 2^12 exceed the budget, and
+    # no factor of the count has more than 4 cells
+    names = [f"v{i:02d}" for i in range(12)]
+    path = Graph.make(names, list(zip(names, names[1:])))
+    gg = constant_group_graph(path, cyclic_group(2))
+    with pytest.raises(BudgetExceeded):
+        h1_finite_bruteforce(gg, budget=100)
+    _, res = regular_h1(gg, budget=100)
+    assert res.count == h1_finite_count(gg, budget=4) == 1
+    assert h0_finite_count(gg, budget=4) == 2
 
 
 # --- H0 and H1 from the one difference map, against the slow oracles ----------------

@@ -117,7 +117,8 @@ def test_mutated_spec_exits_with_a_code_not_a_traceback(data, summary):
 
 @FUZZ
 @hypothesis.given(
-    data=mutated(GROUP_GRAPHS), mode=st.sampled_from(["auto", "vector", "bruteforce", "regular"])
+    data=mutated(GROUP_GRAPHS),
+    mode=st.sampled_from(["auto", "vector", "bruteforce", "regular", "count"]),
 )
 def test_mutated_group_graph_exits_with_a_code_not_a_traceback(data, mode):
     code, err = _run(["cohomology", "--mode", mode], data)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rank_mod_p
+from conftest import dense_rref, rank_mod_p
 from groupgraph import linalg
+from groupgraph.generators import random_regular_vector, random_tree, random_vector_group_graph
+from groupgraph.group_graph import _difference_map
 
 
 def F(x):
@@ -205,3 +207,34 @@ def test_sparse_rank_on_a_long_path_is_fast_and_exact():
     rows = [{i: F(1), i + 1: F(-1)} for i in range(n - 1)]
     assert linalg.sparse_rank(rows) == n - 1
     assert linalg.sparse_rank(rows + [{0: F(1), n - 1: F(-1)}]) == n - 1  # closing the cycle
+
+
+def test_rref_matches_the_dense_oracle():
+    rng = random.Random(5141)
+    cases = [[], [[]], [[], []], [[F(0)] * 4] * 3, linalg.identity(4),
+             [[F(1), F(2)], [F(2), F(4)]]]
+    cases += [linalg.zeros(0, n) for n in range(4)] + [linalg.zeros(n, 0) for n in range(4)]
+    cases += [linalg.zeros(r, c) for r in range(1, 4) for c in range(1, 4)]
+    cases += [random_vectors(rng, rng.randint(1, 8)) for _ in range(200)]  # sparse
+    cases += [[[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)]
+               for _ in range(r)]
+              for _ in range(150) for r, c in [(rng.randint(1, 7), rng.randint(1, 7))]]  # dense
+    cases += [tree_with_cycles(rng, rng.randint(1, 10), extra)
+              for extra in (0, 2) for _ in range(30)]
+    for seed in range(60):  # difference maps of generated group-graphs, and their transposes
+        grng = random.Random(seed)
+        if seed % 2:
+            g = random_vector_group_graph(grng, random_tree(grng, grng.randint(2, 6)))
+        else:
+            g = random_regular_vector(grng, max_vertices=6)
+        rows, _, ncols, _ = _difference_map(g, g.base)
+        m = linalg.dense(rows, ncols)
+        cases += [m, linalg.transpose(m, ncols)]
+    pivoted = 0
+    for m in cases:
+        before = repr(m)
+        got, want = linalg.rref(m), dense_rref(m)
+        assert repr(got) == repr(want), m  # the same rationals, of the same types
+        assert repr(m) == before  # the input is not modified
+        pivoted += bool(got[1])
+    assert pivoted > 400
