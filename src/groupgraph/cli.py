@@ -80,7 +80,7 @@ def run_analyze(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
         spec = FoliationSpec.from_json(data)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep JSON nesting
         if isinstance(exc, FoliationError):
             sys.stderr.write(f"parse error: {exc}\n")
         else:
@@ -122,7 +122,7 @@ def run_cohomology(args) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc} {exc.sizes}\n")
         return EXIT_BUDGET
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep JSON nesting
         sys.stderr.write(f"cannot read group-graph: {exc}\n")
         return EXIT_ERROR
     mode = args.mode

@@ -122,12 +122,6 @@ class Graph:
                     order.append(n)
         return parent
 
-    def subgraph(self, vertices, edges) -> "Graph":
-        sub = Graph.make(vertices, edges)
-        if not sub.vertices <= self.vertices or not sub.edges <= self.edges:
-            raise GraphError("not a subgraph")
-        return sub
-
     def induced(self, vertices) -> "Graph":
         vs = frozenset(vertices)
         return Graph(vs, frozenset(e for e in self.edges if e[0] in vs and e[1] in vs))
@@ -242,41 +236,6 @@ class GraphMorphism:
         return sorted(f for f in self.source.edges if self.apply_edge(f) == e)
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """Alternating vertex/edge sequence (c0, ..., cl), minimal, elements distinct."""
-
-    elements: tuple
-
-    def __post_init__(self):
-        els = self.elements
-        if not els:
-            raise GraphError("empty geodesic")
-        if len(set(els)) != len(els):
-            raise GraphError("geodesic repeats an element")
-        for i, c in enumerate(els):
-            is_vertex = i % 2 == 0
-            if is_vertex != isinstance(c, str):
-                raise GraphError("geodesic does not alternate vertex/edge")
-            if i > 0:
-                prev = els[i - 1]
-                v, e = (c, prev) if is_vertex else (prev, c)
-                if v not in e:
-                    raise GraphError("consecutive geodesic elements not incident")
-
-    def vertices(self) -> list[str]:
-        return [c for i, c in enumerate(self.elements) if i % 2 == 0]
-
-    def edges(self) -> list[Edge]:
-        return [c for i, c in enumerate(self.elements) if i % 2 == 1]
-
-    def contains(self, other: "Geodesic") -> bool:
-        return set(other.elements) <= set(self.elements)
-
-    def to_json(self) -> list:
-        return path_to_json(self.elements)
-
-
 def validate_tree(g: Graph) -> bool:
     """True iff g is connected and acyclic."""
     if not g.vertices:
@@ -318,10 +277,6 @@ def connected_components(g: Graph) -> list[tuple[list[str], list[Edge]]]:
     return list(zip(comps, edges))
 
 
-def first_homology_rank(g: Graph) -> int:
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
-
-
 def _check_subtree(t: Tree, r) -> frozenset[str]:
     rset = frozenset(r)
     if not rset:
@@ -332,17 +287,6 @@ def _check_subtree(t: Tree, r) -> frozenset[str]:
     if not validate_tree(induced):
         raise GraphError("vertex set does not induce a subtree")
     return rset
-
-
-def geodesic_to_subtree(t: Tree, r, v: str) -> Geodesic:
-    """Unique minimal path from v whose last element lies in r, avoiding r before.
-
-    When v is in r the geodesic is the single element v.
-    """
-    parent = subtree_parents(t, r)
-    if v not in t.vertices:
-        raise GraphError(f"vertex {v!r} not in the tree")
-    return Geodesic(tuple(path_to_root(parent, v)))
 
 
 def path_to_root(parent: dict, v: str) -> list:
@@ -364,13 +308,6 @@ def subtree_parents(t: Tree, r) -> dict[str, str | None]:
     on the geodesic to r, each vertex of r to None.  The subtree is connected,
     so the nearest vertex of r, and the first edge toward it, are unique."""
     return t.graph.bfs(sorted(_check_subtree(t, r)))
-
-
-def precedes(t: Tree, r, v: str, w: str) -> bool:
-    """The partial order: v precedes w iff the geodesic of v lies inside that of w."""
-    lv = geodesic_to_subtree(t, r, v)
-    lw = geodesic_to_subtree(t, r, w)
-    return lw.contains(lv)
 
 
 def contraction_vertex_name(sub_vertices, taken=frozenset()) -> str:

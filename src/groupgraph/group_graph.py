@@ -14,7 +14,6 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .graph import (
     parse_incidence_key,
 )
 
-DEFAULT_GROUP_ORDER_CAP = 24
+GROUP_ORDER_CAP = 24  # the largest finite group order a JSON input may give
 DEFAULT_PRODUCT_ORDER_BUDGET = 4096
 CAYLEY_TABLE_CELLS = 1 << 20  # the most cells a built group table may hold
 
@@ -115,18 +114,8 @@ class FiniteGroup:
             raise GroupGraphError(f"element {data!r} is not an index below {self.order}")
         return data
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
 
     def element_order(self, a: int) -> int:
         x, n = a, 1
@@ -134,19 +123,6 @@ class FiniteGroup:
             x = self.mul(x, a)
             n += 1
         return n
-
-    def generated_subgroup(self, gens) -> frozenset[int]:
-        closure = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
-        return frozenset(closure)
 
     def is_subgroup(self, elems) -> bool:
         s = set(elems)
@@ -161,15 +137,6 @@ class FiniteGroup:
             for g in range(self.order)
             for k in s
         )
-
-    def subgroup(self, elems) -> tuple["FiniteGroup", tuple[int, ...]]:
-        """Subgroup as its own FiniteGroup plus the inclusion (index -> parent index)."""
-        if not self.is_subgroup(elems):
-            raise GroupGraphError("not a subgroup")
-        incl = (0,) + tuple(sorted(set(elems) - {0}))
-        pos = {x: i for i, x in enumerate(incl)}
-        table = [[pos[self.mul(a, b)] for b in incl] for a in incl]
-        return FiniteGroup(len(incl), table, validate=False), incl
 
     def quotient(self, normal_elems) -> tuple["FiniteGroup", tuple[int, ...]]:
         """Quotient by a normal subgroup; returns (group, projection index map)."""
@@ -226,14 +193,14 @@ class FiniteGroup:
         return {"order": self.order, "table": [list(r) for r in self.table]}
 
     @staticmethod
-    def from_json(data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP) -> "FiniteGroup":
+    def from_json(data: dict) -> "FiniteGroup":
         order = data["order"]
         if not _is_int(order):
             raise GroupGraphError(f"group order {order!r} is not an integer")
-        if order > order_cap:
+        if order > GROUP_ORDER_CAP:
             raise BudgetExceeded(
-                f"finite group order {order} exceeds the cap {order_cap}",
-                {"order": order, "cap": order_cap},
+                f"finite group order {order} exceeds the cap {GROUP_ORDER_CAP}",
+                {"order": order, "cap": GROUP_ORDER_CAP},
             )
         return FiniteGroup(order, data["table"])
 
@@ -272,21 +239,26 @@ def direct_product_group(
             f"product group order {order} exceeds budget {budget}",
             {"order": order, "budget": budget},
         )
+    _check_table_cells(order)
     elems = list(itertools.product(*(range(f.order) for f in factors)))
     return _componentwise_group(factors, elems), elems
+
+
+def _check_table_cells(order: int):
+    """Raise before a Cayley table of the given order would exceed its cell cap."""
+    cells = order ** 2
+    if cells > CAYLEY_TABLE_CELLS:
+        raise BudgetExceeded(
+            f"Cayley table of {order} elements ({cells} cells) exceeds budget "
+            f"{CAYLEY_TABLE_CELLS}",
+            {"cells": cells, "budget": CAYLEY_TABLE_CELLS},
+        )
 
 
 def _componentwise_group(factors: list[FiniteGroup], elems: list[tuple[int, ...]]) -> FiniteGroup:
     """The group on element tuples of the factors, closed under the
     componentwise product, identity first; the index of a tuple is its
-    position in elems."""
-    cells = len(elems) ** 2
-    if cells > CAYLEY_TABLE_CELLS:
-        raise BudgetExceeded(
-            f"Cayley table of {len(elems)} elements ({cells} cells) exceeds budget "
-            f"{CAYLEY_TABLE_CELLS}",
-            {"cells": cells, "budget": CAYLEY_TABLE_CELLS},
-        )
+    position in elems.  The caller checks the table size first."""
     pos = {t: i for i, t in enumerate(elems)}
     table = [
         [pos[tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))] for b in elems]
@@ -332,18 +304,17 @@ class VectorSpace:
         return {"dim": self.dim}
 
     @staticmethod
-    def from_json(data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP) -> "VectorSpace":
-        """`order_cap` bounds finite groups only; both carriers parse through one call."""
+    def from_json(data: dict) -> "VectorSpace":
         return VectorSpace(data["dim"])
 
 
 CARRIERS = {"finite": FiniteGroup, "vector": VectorSpace}
 
 
-def obj_from_json(carrier: str, data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP):
+def obj_from_json(carrier: str, data: dict):
     if carrier not in CARRIERS:
         raise GroupGraphError(f"unknown carrier {carrier!r}")
-    return CARRIERS[carrier].from_json(data, order_cap)
+    return CARRIERS[carrier].from_json(data)
 
 
 class GroupHom:
@@ -503,9 +474,6 @@ class GroupGraph:
     def stars(self) -> list:
         return self.base.sorted_vertices() + self.base.sorted_edges()
 
-    def is_trivial(self) -> bool:
-        return all(self.obj(s).is_trivial() for s in self.stars())
-
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
@@ -519,14 +487,13 @@ class GroupGraph:
         }
 
     @staticmethod
-    def from_json(data: dict, order_cap: int = DEFAULT_GROUP_ORDER_CAP) -> "GroupGraph":
+    def from_json(data: dict) -> "GroupGraph":
         """Parse a group-graph; malformed JSON raises GroupGraphError."""
         try:
             base = Graph.from_json(data["base"])
             carrier = data["carrier"]
-            vobj = {v: obj_from_json(carrier, o, order_cap) for v, o in data["vertices"].items()}
-            eobj = {parse_edge_key(k): obj_from_json(carrier, o, order_cap)
-                    for k, o in data["edges"].items()}
+            vobj = {v: obj_from_json(carrier, o) for v, o in data["vertices"].items()}
+            eobj = {parse_edge_key(k): obj_from_json(carrier, o) for k, o in data["edges"].items()}
             restrictions = {}
             for key, h in data["restrictions"].items():
                 v, e = parse_incidence_key(key)
@@ -539,29 +506,6 @@ class GroupGraph:
             raise GroupGraphError(f"malformed group-graph: {exc}") from exc
         return GroupGraph(base, carrier, vobj, eobj, restrictions)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-
-def constant_group_graph(base: Graph, obj) -> GroupGraph:
-    """The same object everywhere with identity restrictions."""
-    carrier = next(name for name, cls in CARRIERS.items() if isinstance(obj, cls))
-    vobj = {v: obj for v in base.vertices}
-    eobj = {e: obj for e in base.edges}
-    restrictions = {(v, e): GroupHom.identity(obj) for v, e in base.incidences()}
-    return GroupGraph(base, carrier, vobj, eobj, restrictions)
-
-
-def trivial_group_graph(base: Graph, carrier: str) -> GroupGraph:
-    obj = trivial_group() if carrier == "finite" else VectorSpace(0)
-    return GroupGraph(
-        base,
-        carrier,
-        {v: obj for v in base.vertices},
-        {e: obj for e in base.edges},
-        {(v, e): GroupHom.trivial(obj, obj) for v, e in base.incidences()},
-    )
-
 
 class GroupGraphMorphism:
     """Morphism of group-graphs over a graph morphism.
@@ -573,13 +517,12 @@ class GroupGraphMorphism:
     """
 
     def __init__(self, over: GraphMorphism, source: GroupGraph, target: GroupGraph,
-                 maps: dict, validate: bool = True):
+                 maps: dict):
         self.over = over
         self.source = source
         self.target = target
         self.maps = dict(maps)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if self.source.base != self.over.target or self.target.base != self.over.source:
@@ -712,6 +655,7 @@ def _fiber_h0(g: GroupGraph, fiber: Graph, budget: int):
     GroupHom to each fiber vertex."""
     if g.carrier == "finite":
         tuples, vs = _h0_subgroup_finite(g, fiber, budget)
+        _check_table_cells(len(tuples))
         grp = _componentwise_group([g.vobj[v] for v in vs], tuples)
         return grp, {
             v: GroupHom(grp, g.vobj[v], [t[i] for t in tuples], validate=False)
@@ -802,7 +746,7 @@ class SubGroupGraph:
     a list of basis vectors per star.
     """
 
-    def __init__(self, parent: GroupGraph, subs: dict, validate: bool = True):
+    def __init__(self, parent: GroupGraph, subs: dict):
         self.parent = parent
         if parent.carrier == "finite":
             self.subs = {s: frozenset(x) for s, x in subs.items()}
@@ -811,8 +755,7 @@ class SubGroupGraph:
                 s: linalg.row_space_basis([[linalg.frac(c) for c in vec] for vec in x])
                 for s, x in subs.items()
             }
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         stars = set(self.parent.base.vertices) | set(self.parent.base.edges)
@@ -845,30 +788,10 @@ class SubGroupGraph:
             for s in self.subs
         )
 
-    def size(self, star):
-        return len(self.subs[star])
-
     def is_trivial(self) -> bool:
         if self.parent.carrier == "finite":
             return all(len(x) == 1 for x in self.subs.values())
         return all(len(x) == 0 for x in self.subs.values())
-
-    def equals_parent(self) -> bool:
-        if self.parent.carrier == "finite":
-            return all(len(self.subs[s]) == self.parent.obj(s).order for s in self.subs)
-        return all(len(self.subs[s]) == self.parent.obj(s).dim for s in self.subs)
-
-
-def full_sub(g: GroupGraph) -> SubGroupGraph:
-    if g.carrier == "finite":
-        return SubGroupGraph(g, {s: frozenset(range(g.obj(s).order)) for s in g.stars()})
-    return SubGroupGraph(g, {s: linalg.identity(g.obj(s).dim) for s in g.stars()})
-
-
-def trivial_sub(g: GroupGraph) -> SubGroupGraph:
-    if g.carrier == "finite":
-        return SubGroupGraph(g, {s: frozenset({0}) for s in g.stars()})
-    return SubGroupGraph(g, {s: [] for s in g.stars()})
 
 
 def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGraph, GroupGraphMorphism]:

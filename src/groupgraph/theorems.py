@@ -525,14 +525,6 @@ def regular_h1(
     return st, result
 
 
-def equidimensional_support_dim(g: GroupGraph) -> int | None:
-    """The common dimension of the supported objects, or None if mixed."""
-    dims = {g.obj(s).dim for s in support(g)}
-    if len(dims) == 1:
-        return dims.pop()
-    return None
-
-
 # ---------------------------------------------------------------------------
 # tensor
 

@@ -1,13 +1,30 @@
 
+from dataclasses import dataclass
+
 import pytest
 
 from groupgraph import linalg
-from groupgraph.graph import Graph
+from groupgraph.graph import Graph, GraphError, edge, validate_tree
 from groupgraph.group_graph import (
+    CARRIERS,
     GroupGraph,
     GroupHom,
     VectorSpace,
 )
+
+
+def constant_group_graph(base: Graph, obj) -> GroupGraph:
+    """The same object everywhere with identity restrictions."""
+    carrier = next(name for name, cls in CARRIERS.items() if isinstance(obj, cls))
+    vobj = {v: obj for v in base.vertices}
+    eobj = {e: obj for e in base.edges}
+    restrictions = {(v, e): GroupHom.identity(obj) for v, e in base.incidences()}
+    return GroupGraph(base, carrier, vobj, eobj, restrictions)
+
+
+def is_abelian(grp) -> bool:
+    """Whether a FiniteGroup's Cayley table is symmetric."""
+    return all(grp.mul(a, b) == grp.mul(b, a) for a in range(grp.order) for b in range(a))
 
 
 def vector_gg(vertices, edges, vdims, edims, mats=None):
@@ -113,3 +130,72 @@ def segment_010():
     return vector_gg(
         ["a", "b"], [("a", "b")], {"a": 0, "b": 0}, {("a", "b"): 1}
     )
+
+
+# --- geodesics to a subtree and the partial order they induce: the slow
+# oracle of theorems.check_repulsive, which reads one parent map instead
+
+
+@dataclass(frozen=True)
+class Geodesic:
+    """Alternating vertex/edge sequence (c0, ..., cl), minimal, elements distinct."""
+
+    elements: tuple
+
+    def __post_init__(self):
+        els = self.elements
+        if not els:
+            raise GraphError("empty geodesic")
+        if len(set(els)) != len(els):
+            raise GraphError("geodesic repeats an element")
+        for i, c in enumerate(els):
+            is_vertex = i % 2 == 0
+            if is_vertex != isinstance(c, str):
+                raise GraphError("geodesic does not alternate vertex/edge")
+            if i > 0:
+                prev = els[i - 1]
+                v, e = (c, prev) if is_vertex else (prev, c)
+                if v not in e:
+                    raise GraphError("consecutive geodesic elements not incident")
+
+
+def geodesic_to_subtree(t, r, v) -> Geodesic:
+    """Unique minimal path from v whose last element lies in r, avoiding r
+    before: a BFS from v until the subtree is hit, then the path walked back.
+    When v is in r the geodesic is the single element v."""
+    rset = frozenset(r)
+    if not rset or not rset <= t.vertices or not validate_tree(t.graph.induced(rset)):
+        raise GraphError("vertex set does not induce a subtree")
+    if v not in t.vertices:
+        raise GraphError(f"vertex {v!r} not in the tree")
+    if v in rset:
+        return Geodesic((v,))
+    prev = {}
+    queue = [v]
+    seen = {v}
+    hit = None
+    while queue:
+        cur = queue.pop(0)
+        if cur in rset:
+            hit = cur
+            break
+        for n in t.graph.neighbors(cur):
+            if n not in seen:
+                seen.add(n)
+                prev[n] = (cur, edge(cur, n))
+                queue.append(n)
+    path = [hit]
+    cur = hit
+    while cur != v:
+        p, e = prev[cur]
+        path.append(e)
+        path.append(p)
+        cur = p
+    path.reverse()
+    return Geodesic(tuple(path))
+
+
+def precedes(t, r, v, w) -> bool:
+    """The partial order: v precedes w iff the geodesic of v lies inside that of w."""
+    inner, outer = geodesic_to_subtree(t, r, v), geodesic_to_subtree(t, r, w)
+    return set(inner.elements) <= set(outer.elements)

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -490,6 +492,17 @@ def test_malformed_spec_exits_with_a_message_not_a_traceback(
         assert any(message in v for v in json.loads(r.stdout)["violations"])
 
 
+@pytest.mark.parametrize("command,message", [("analyze", "cannot read spec: "),
+                                             ("cohomology", "cannot read group-graph: ")])
+def test_deeply_nested_json_exits_one_without_a_traceback(tmp_path, command, message):
+    # json.load raises RecursionError, which is not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    r = run_cli(command, "--input", str(path))
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith(message) and "Traceback" not in r.stderr
+
+
 def test_emitted_group_graph_json_reparses(tmp_path):
     # round-trip: the tf_red emitted by analyze is a loadable group-graph
     from groupgraph.group_graph import GroupGraph
@@ -539,7 +552,8 @@ def test_malformed_group_graph_exits_with_a_message_not_a_traceback(
     tmp_path, capsys, carrier, path, value
 ):
     from groupgraph.graph import Graph
-    from groupgraph.group_graph import VectorSpace, constant_group_graph, cyclic_group
+    from conftest import constant_group_graph
+    from groupgraph.group_graph import VectorSpace, cyclic_group
 
     obj = cyclic_group(2) if carrier == "finite" else VectorSpace(1)
     data = constant_group_graph(Graph.make("ab", [("a", "b")]), obj).to_json()
@@ -581,3 +595,46 @@ def test_benchmark_tracer_names_resolve():
         mod = importlib.import_module(f"groupgraph.{layer}")
         for cls_name, meth in methods:
             assert meth in vars(getattr(mod, cls_name)), (layer, cls_name, meth)
+
+    # every groupgraph name the harness imports, and every attribute it reads
+    # on one (`cli.FoliationSpec.from_json`, `generators.group_pool`)
+    trees = [ast.parse(p.read_text()) for p in sorted(path.parent.glob("*.py"))]
+    bound = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "groupgraph":
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    getattr(mod, alias.name) if hasattr(mod, alias.name)
+                    else importlib.import_module(f"{node.module}.{alias.name}"))
+    assert {"cli", "generators", "Graph", "GroupGraph"} <= set(bound)
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            obj = bound[node.id]
+            for attr in reversed(chain):
+                assert hasattr(obj, attr), (node.id, chain[::-1])
+                obj = getattr(obj, attr)
+
+    # each hook runs on its function's own arguments and result, so every
+    # attribute it reads on a program object (`spec.is_red_edge`) must exist
+    rng = random.Random(0)
+    spec = foliation.FoliationSpec.from_json(
+        json.loads((FIXTURES / "type4_two_reds.json").read_text()))
+    samples = {
+        "cohomology.h1_finite_bruteforce": (random_finite_group_graph(rng, random_tree(rng, 3)),),
+        "foliation.scan_typed_geodesics": (spec,),
+        "foliation.build_tf_red": (spec,),
+        "linalg.rref": ([[1, 2], [3, 4]],),
+    }
+    assert set(samples) == set(tracing.HOOKS)
+    tracer = tracing.Tracer()
+    for name, args in samples.items():
+        layer, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"groupgraph.{layer}"), attr)
+        tracing.HOOKS[name](tracer, args, fn(*args))
+    assert {"cohomology.z1_size", "foliation.scan.paths", "foliation.tf_red.c1_dim",
+            "linalg.rref.cells"} <= set(tracer.work)

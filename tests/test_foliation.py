@@ -613,6 +613,14 @@ def test_disconnection_witness_matches_the_pairwise_oracle():
         red_vs = frozenset(v for v in comp.vertices if rng.random() < 0.6)
         red_es = frozenset(e for e in comp.edges if set(e) <= red_vs and rng.random() < 0.6)
         cases.append((comp, Graph(red_vs, red_es)))
+    for k in range(2, 41):  # a green hub with k red leaves, some behind a green spoke
+        rng = random.Random(k)
+        leaves = [f"r{i}" for i in rng.sample(range(100), k)]
+        spokes = {leaf: f"g{leaf}" for leaf in leaves if rng.random() < 0.3}
+        edges = [("hub", spokes.get(leaf, leaf)) for leaf in leaves]
+        edges += [(leaf, spoke) for leaf, spoke in spokes.items()]
+        comp = Graph.make(["hub", *leaves, *spokes.values()], edges)
+        cases.append((comp, Graph(frozenset(leaves), frozenset())))
     compared = multi_vertex = 0
     for comp, red in cases:
         red_comps = connected_components(red)
@@ -622,7 +630,7 @@ def test_disconnection_witness_matches_the_pairwise_oracle():
             comp, red_comps)
         compared += 1
         multi_vertex += any(len(vs) > 1 for vs, _ in red_comps)
-    assert compared > 150 and multi_vertex > 50
+    assert compared > 190 and multi_vertex > 50
 
 
 def test_disconnection_witness_runs_one_bfs_per_pair_of_red_pieces(monkeypatch):

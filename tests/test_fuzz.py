@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import vector_gg
+from conftest import constant_group_graph, vector_gg
 from groupgraph import cli
 from groupgraph.graph import Graph
-from groupgraph.group_graph import constant_group_graph, cyclic_group
+from groupgraph.group_graph import cyclic_group
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

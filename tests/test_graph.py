@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from conftest import Geodesic, geodesic_to_subtree, precedes
 from groupgraph.graph import (
-    Geodesic,
     Graph,
     GraphError,
     GraphMorphism,
@@ -13,9 +13,8 @@ from groupgraph.graph import (
     connected_components,
     contract,
     edge,
-    first_homology_rank,
-    geodesic_to_subtree,
-    precedes,
+    path_to_root,
+    subtree_parents,
     validate_tree,
 )
 from groupgraph.generators import constrained_incidences, random_connected_subset
@@ -114,37 +113,8 @@ def test_precedes_is_a_partial_order_on_random_trees():
                         assert precedes(t, r, v, x)
 
 
-# --- slow oracles: the per-vertex searches that one BFS from the subtree replaced
-
-
-def oracle_geodesic_to_subtree(t, r, v):
-    """BFS from v until the subtree is hit, then the path walked back."""
-    rset = frozenset(r)
-    if v in rset:
-        return Geodesic((v,))
-    prev = {}
-    queue = [v]
-    seen = {v}
-    hit = None
-    while queue:
-        cur = queue.pop(0)
-        if cur in rset:
-            hit = cur
-            break
-        for n in t.graph.neighbors(cur):
-            if n not in seen:
-                seen.add(n)
-                prev[n] = (cur, edge(cur, n))
-                queue.append(n)
-    path = [hit]
-    cur = hit
-    while cur != v:
-        p, e = prev[cur]
-        path.append(e)
-        path.append(p)
-        cur = p
-    path.reverse()
-    return Geodesic(tuple(path))
+# --- slow oracles: the per-vertex searches that one BFS from the subtree
+# replaced (for the geodesics, conftest.geodesic_to_subtree)
 
 
 def oracle_constrained_incidences(t, rset):
@@ -188,8 +158,9 @@ def test_subtree_searches_match_per_vertex_oracles():
         rng = random.Random(seed)
         t = random_tree(rng, rng.randint(1, 14))
         r = random_connected_subset(rng, t, rng.randint(1, len(t.vertices)))
+        parent = subtree_parents(t, r)
         for v in sorted(t.vertices):
-            assert geodesic_to_subtree(t, r, v) == oracle_geodesic_to_subtree(t, r, v)
+            assert path_to_root(parent, v) == list(geodesic_to_subtree(t, r, v).elements)
             checked += 1
         assert constrained_incidences(t, r) == oracle_constrained_incidences(t, r)
     assert checked > 500
@@ -268,6 +239,10 @@ def test_contract_rejects_non_subtree():
 
 
 # --- homology rank and components --------------------------------------------
+
+
+def first_homology_rank(g):
+    return len(g.edges) - len(g.vertices) + len(connected_components(g))
 
 
 def test_first_homology_rank():

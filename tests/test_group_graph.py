@@ -1,11 +1,12 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import finite_gg, vector_gg
-from groupgraph import linalg
+from conftest import constant_group_graph, finite_gg, is_abelian, vector_gg
+from groupgraph import group_graph, linalg
 from groupgraph.generators import (
     group_pool,
     random_connected_subset,
@@ -26,12 +27,10 @@ from groupgraph.group_graph import (
     GroupHom,
     SubGroupGraph,
     VectorSpace,
-    constant_group_graph,
     cyclic_group,
     dihedral_group,
     direct_image,
     direct_product_group,
-    full_sub,
     image_of,
     is_regular,
     kernel_of,
@@ -43,7 +42,6 @@ from groupgraph.group_graph import (
     support_components,
     tensor,
     trivial_group,
-    trivial_sub,
     _h0_basis_vector,
     _h0_subgroup_finite,
 )
@@ -96,12 +94,11 @@ def test_group_helpers():
     z6 = cyclic_group(6)
     assert z6.inv(2) == 4
     assert z6.element_order(2) == 3
-    assert z6.is_abelian()
-    assert z6.generated_subgroup([2]) == frozenset({0, 2, 4})
+    assert is_abelian(z6)
     assert z6.is_subgroup({0, 3})
     assert z6.is_normal({0, 3})
     d4 = dihedral_group(4)
-    assert d4.order == 8 and not d4.is_abelian()
+    assert d4.order == 8 and not is_abelian(d4)
     assert d4.is_normal({0, 1, 2, 3})  # rotations
     assert not d4.is_normal({0, 4})  # a single reflection
 
@@ -170,11 +167,12 @@ def test_group_graph_json_round_trip():
     assert GroupGraph.from_json(vv.to_json()).to_json() == vv.to_json()
 
 
-def test_from_json_respects_order_cap():
+def test_from_json_respects_order_cap(monkeypatch):
     gg = constant_group_graph(Graph.make(["a"], []), cyclic_group(3))
     data = gg.to_json()
-    with pytest.raises(BudgetExceeded):
-        GroupGraph.from_json(data, order_cap=2)
+    monkeypatch.setattr(group_graph, "GROUP_ORDER_CAP", 2)  # read at call time
+    with pytest.raises(BudgetExceeded, match="exceeds the cap 2"):
+        GroupGraph.from_json(data)
 
 
 # --- pullback ------------------------------------------------------------------
@@ -275,6 +273,17 @@ def test_cayley_table_budget_checked_before_the_table_is_built():
     assert exc.value.sizes == {"cells": 2187 ** 2, "budget": CAYLEY_TABLE_CELLS}
     with pytest.raises(BudgetExceeded, match="Cayley table"):
         direct_product_group([cyclic_group(3)] * 7, budget=DEFAULT_ENUM_BUDGET)
+    # 3^13 elements pass an order budget of 10^7; the check must come before
+    # the element list, whose 1.6M tuples would take about 240 MB
+    factors = [cyclic_group(3)] * 13
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="Cayley table of 1594323 elements"):
+            direct_product_group(factors, budget=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def oracle_direct_image(phi, g, budget=DEFAULT_PRODUCT_ORDER_BUDGET):
@@ -442,9 +451,9 @@ def test_direct_image_matches_the_hand_filled_oracle():
 
 def test_quotient_by_trivial_and_by_full():
     gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(4))
-    q1 = quotient(gg, trivial_sub(gg))
+    q1 = quotient(gg, SubGroupGraph(gg, {s: {0} for s in gg.stars()}))
     assert all(q1.obj(s).order == 4 for s in q1.stars())
-    q2 = quotient(gg, full_sub(gg))
+    q2 = quotient(gg, SubGroupGraph(gg, {s: range(4) for s in gg.stars()}))
     assert all(q2.obj(s).order == 1 for s in q2.stars())
 
 
@@ -570,13 +579,13 @@ def test_kernel_image_of_identity_and_projection():
     gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(4))
     ident = GroupGraphMorphism.identity(gg)
     assert kernel_of(ident).is_trivial()
-    assert image_of(ident).equals_parent()
+    assert all(len(x) == gg.obj(s).order for s, x in image_of(ident).subs.items())
 
     k = SubGroupGraph(gg, {s: frozenset({0, 2}) for s in gg.stars()})
     q, proj = quotient_with_projection(gg, k)
     ker = kernel_of(proj)
     assert all(ker.subs[s] == frozenset({0, 2}) for s in gg.stars())
-    assert image_of(proj).equals_parent()
+    assert all(len(x) == q.obj(s).order for s, x in image_of(proj).subs.items())
 
 
 def test_zero_vector_morphism_kernel_and_image():

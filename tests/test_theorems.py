@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import finite_gg, vector_gg
+from conftest import constant_group_graph, finite_gg, precedes, vector_gg
 from groupgraph.graph import (
     Graph,
     GraphError,
@@ -12,7 +12,6 @@ from groupgraph.graph import (
     Tree,
     contract,
     edge,
-    precedes,
     subtree_parents,
 )
 from groupgraph.group_graph import (
@@ -21,7 +20,6 @@ from groupgraph.group_graph import (
     GroupHom,
     SubGroupGraph,
     VectorSpace,
-    constant_group_graph,
     cyclic_group,
     pullback,
     quotient_with_projection,
@@ -618,16 +616,15 @@ def test_build_active_structure_matches_per_edge_form():
 
 
 def test_equidimensional_closed_form():
-    from groupgraph.theorems import equidimensional_support_dim
-
     for seed in range(15):
         rng = random.Random(600 + seed)
         d = rng.choice([1, 2])
         g = random_regular_vector(rng, max_vertices=7, equidim=d)
         st, res = regular_h1(g, crosscheck=False)
-        common = equidimensional_support_dim(g)
-        if common is None:
-            continue  # empty support reports dimension None as well
+        dims = {g.obj(s).dim for s in support(g)}
+        if len(dims) != 1:
+            continue  # empty or mixed support: no common dimension
+        common = dims.pop()
         assert res.dim == (st.a - st.p) * common, seed
 
 
