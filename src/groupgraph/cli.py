@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 
-from . import foliation
+from . import _jsontext, foliation
 from .cohomology import (
     DEFAULT_ENUM_BUDGET,
     CohomologyResult,
@@ -59,16 +60,42 @@ EXIT_BUDGET = 4
 EXIT_VERIFIER = 5
 
 
+class _OutputError(Exception):
+    """--output could not be written; `main` reports it and exits 1."""
+
+
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(exc) from exc
     else:
         sys.stdout.write(text)
 
 
 def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return _jsontext.dumps(data)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _non_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load(path: str):
+    """The JSON document at path; NaN, Infinity and numbers too large for a
+    float raise ValueError, so no report can carry them (RFC 8259 JSON has
+    no non-finite numbers)."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_non_number, parse_float=_finite_float)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +104,7 @@ def _dump(data) -> str:
 
 def run_analyze(args) -> int:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-        spec = FoliationSpec.from_json(data)
+        spec = FoliationSpec.from_json(_load(args.input))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep JSON nesting
         if isinstance(exc, FoliationError):
             sys.stderr.write(f"parse error: {exc}\n")
@@ -116,9 +141,7 @@ def run_analyze(args) -> int:
 
 def run_cohomology(args) -> int:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-        gg = GroupGraph.from_json(data)
+        gg = GroupGraph.from_json(_load(args.input))
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc} {exc.sizes}\n")
         return EXIT_BUDGET
@@ -353,6 +376,17 @@ def run_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A --count value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupgraph",
@@ -377,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("selfcheck", help="run the seeded verifier suites")
     sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--count", type=int, default=10)
+    sc.add_argument("--count", type=_count, default=10)
     sc.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     sc.add_argument("--output")
     sc.add_argument("--summary", action="store_true")
@@ -392,7 +426,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up per call, so a rebound run_* function takes effect
     run = {"analyze": run_analyze, "cohomology": run_cohomology, "selfcheck": run_selfcheck}
-    return run[args.command](args)
+    try:
+        return run[args.command](args)
+    except _OutputError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

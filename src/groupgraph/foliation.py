@@ -35,7 +35,7 @@ from .graph import (
 from .group_graph import GroupGraph, GroupHom, VectorSpace, _is_int, is_regular
 from .cohomology import h1_vector
 from .theorems import VerificationError, HypothesisViolated, regular_h1, restrict, build_active_structure
-from . import linalg
+from . import _jsontext, linalg
 
 
 class FoliationError(ValueError):
@@ -602,7 +602,7 @@ class ModuliReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        return _jsontext.dumps(self.to_json())
 
 
 def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
@@ -615,14 +615,18 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
 
     active_json = None
     if verdict == "finite":
-        st = build_active_structure(tf)
-        dim_active = 0
-        for comp_vs, comp_es in connected_components(ctx.red):
-            comp_graph = Graph(frozenset(comp_vs), frozenset(comp_es))
-            # restricting to the whole base is a pullback along the identity
-            comp_tf = tf if comp_graph == tf.base else restrict(tf, comp_graph)
-            _, res = regular_h1(comp_tf, crosscheck=False)
-            dim_active += res.dim
+        red_parts = connected_components(ctx.red)
+        if len(red_parts) == 1:
+            # the red part is tf's whole base: regular_h1 builds tf's structure
+            st, res = regular_h1(tf, crosscheck=False)
+            dim_active = res.dim
+        else:
+            st = build_active_structure(tf)
+            dim_active = 0
+            for comp_vs, comp_es in red_parts:
+                comp_tf = restrict(tf, Graph(frozenset(comp_vs), frozenset(comp_es)))
+                _, res = regular_h1(comp_tf, crosscheck=False)
+                dim_active += res.dim
         dim_rank = h1_vector(tf).dim
         dim_contracted = _contracted_rank(tf)
         if not (dim_active == dim_rank == dim_contracted == len(st.a_prime)):

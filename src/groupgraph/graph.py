@@ -219,13 +219,6 @@ class GraphMorphism:
             raise GraphError("not a subgraph inclusion")
         return GraphMorphism.make(sub, ambient, {v: v for v in sub.vertices})
 
-    def compose(self, inner: "GraphMorphism") -> "GraphMorphism":
-        """self o inner (inner applied first)."""
-        if inner.target != self.source:
-            raise GraphError("morphisms do not compose")
-        vm = {v: self.apply(inner.apply(v)) for v in inner.source.vertices}
-        return GraphMorphism.make(inner.source, self.target, vm)
-
     def fiber(self, v: str) -> Graph:
         """Preimage subgraph of a target vertex: source vertices and collapsed edges."""
         vs = frozenset(u for u in self.source.vertices if self.apply(u) == v)

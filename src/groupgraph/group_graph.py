@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .graph import (
@@ -474,6 +475,18 @@ class GroupGraph:
     def stars(self) -> list:
         return self.base.sorted_vertices() + self.base.sorted_edges()
 
+    @cached_property
+    def _irregular_incidences(self) -> tuple[tuple[str, Edge], ...]:
+        """The in-support incidences whose restriction is not an isomorphism
+        (see `is_regular`), found once: nothing mutates a group-graph after
+        construction."""
+        supp = set(support(self))
+        return tuple(
+            (v, e)
+            for v, e in self.base.incidences()
+            if v in supp and e in supp and not self.restriction(v, e).is_iso()
+        )
+
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
@@ -544,24 +557,6 @@ class GroupGraphMorphism:
                 rhs = self.maps[e].compose(self.source.restriction(self.over.apply(v), img_e))
             if not lhs.equal_maps(rhs):
                 raise GroupGraphError(f"square at {incidence_key(v, e)} does not commute")
-
-    @staticmethod
-    def identity(g: GroupGraph) -> "GroupGraphMorphism":
-        return GroupGraphMorphism(
-            GraphMorphism.identity(g.base), g, g,
-            {s: GroupHom.identity(g.obj(s)) for s in g.stars()},
-        )
-
-    def compose(self, other: "GroupGraphMorphism") -> "GroupGraphMorphism":
-        """other applied first: self o other, over other.over o self.over."""
-        if other.target is not self.source and other.target.to_json() != self.source.to_json():
-            raise GroupGraphError("group-graph morphisms do not compose")
-        over = other.over.compose(self.over)
-        maps = {}
-        for star in self.target.stars():
-            img = self.over.apply(star) if isinstance(star, str) else self.over.apply_edge(star)
-            maps[star] = self.maps[star].compose(other.maps[img])
-        return GroupGraphMorphism(over, other.source, self.target, maps)
 
     def is_over_identity(self) -> bool:
         return self.over.is_identity()
@@ -868,12 +863,7 @@ def support_components(g: GroupGraph) -> list[list]:
 
 def is_regular(g: GroupGraph) -> tuple[bool, list[tuple[str, Edge]]]:
     """A group-graph is regular when in-support restrictions are isomorphisms."""
-    supp = set(support(g))
-    violations = [
-        (v, e)
-        for v, e in g.base.incidences()
-        if v in supp and e in supp and not g.restriction(v, e).is_iso()
-    ]
+    violations = list(g._irregular_incidences)
     return not violations, violations
 
 

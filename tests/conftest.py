@@ -4,10 +4,12 @@ from dataclasses import dataclass
 import pytest
 
 from groupgraph import linalg
-from groupgraph.graph import Graph, GraphError, edge, validate_tree
+from groupgraph.graph import Graph, GraphError, GraphMorphism, edge, validate_tree
 from groupgraph.group_graph import (
     CARRIERS,
     GroupGraph,
+    GroupGraphError,
+    GroupGraphMorphism,
     GroupHom,
     VectorSpace,
 )
@@ -20,6 +22,34 @@ def constant_group_graph(base: Graph, obj) -> GroupGraph:
     eobj = {e: obj for e in base.edges}
     restrictions = {(v, e): GroupHom.identity(obj) for v, e in base.incidences()}
     return GroupGraph(base, carrier, vobj, eobj, restrictions)
+
+
+def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
+    """outer o inner (inner applied first)."""
+    if inner.target != outer.source:
+        raise GraphError("morphisms do not compose")
+    vm = {v: outer.apply(inner.apply(v)) for v in inner.source.vertices}
+    return GraphMorphism.make(inner.source, outer.target, vm)
+
+
+def identity_morphism(g: GroupGraph) -> GroupGraphMorphism:
+    """The identity of a group-graph, over the identity of its base."""
+    return GroupGraphMorphism(
+        GraphMorphism.identity(g.base), g, g,
+        {s: GroupHom.identity(g.obj(s)) for s in g.stars()},
+    )
+
+
+def compose_morphisms(outer: GroupGraphMorphism, inner: GroupGraphMorphism) -> GroupGraphMorphism:
+    """inner applied first: outer o inner, over inner.over o outer.over."""
+    if inner.target is not outer.source and inner.target.to_json() != outer.source.to_json():
+        raise GroupGraphError("group-graph morphisms do not compose")
+    over = compose_graph_morphisms(inner.over, outer.over)
+    maps = {}
+    for star in outer.target.stars():
+        img = outer.over.apply(star) if isinstance(star, str) else outer.over.apply_edge(star)
+        maps[star] = outer.maps[star].compose(inner.maps[img])
+    return GroupGraphMorphism(over, inner.source, outer.target, maps)
 
 
 def is_abelian(grp) -> bool:

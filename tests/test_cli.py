@@ -503,6 +503,57 @@ def test_deeply_nested_json_exits_one_without_a_traceback(tmp_path, command, mes
     assert r.stderr.startswith(message) and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", str(FIXTURES / "active_red_segment.json")],
+    ["cohomology", "--input", "GG"],
+    ["selfcheck", "--count", "1"],
+], ids=["analyze", "cohomology", "selfcheck"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exits_one_with_a_message(tmp_path, capsys, argv, target):
+    gg = write_json(tmp_path / "gg.json", finite_gg_json())
+    output = tmp_path / "no" / "x.json" if target == "missing-dir" else tmp_path
+    code = cli.main([gg if a == "GG" else a for a in argv] + ["--output", str(output)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("cannot write output: ") and str(output) in captured.err
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e400"])
+@pytest.mark.parametrize("command,message", [("analyze", "cannot read spec: "),
+                                             ("cohomology", "cannot read group-graph: ")])
+def test_non_finite_numbers_in_the_input_exit_one(tmp_path, capsys, number, command, message):
+    # json.load accepts them, but a report carrying one would not be JSON
+    if command == "analyze":
+        data = json.loads((FIXTURES / "active_red_segment.json").read_text())
+        data["vertices"]["D1"]["cs_index"] = ["PLACE"]
+    else:
+        data = finite_gg_json()
+        data["base"]["extra"] = "PLACE"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data).replace('"PLACE"', number))
+    assert cli.main([command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and number.lstrip("-") in captured.err
+
+
+def test_finite_floats_in_an_opaque_cs_index_are_kept(tmp_path, capsys):
+    data = json.loads((FIXTURES / "active_red_segment.json").read_text())
+    data["vertices"]["D1"]["cs_index"] = {"x": [2.5, -0.0, 1e16, 1e308]}
+    path = write_json(tmp_path / "spec.json", data)
+    assert cli.main(["analyze", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["cs_indices"]["D1"] == data["vertices"]["D1"]["cs_index"]
+    assert '"x": [\n        2.5,\n        -0.0,\n        1e+16,\n        1e+308\n      ]' in out
+
+
+@pytest.mark.parametrize("count", ["-3", "-1", "x"])
+def test_selfcheck_rejects_a_bad_count_with_usage(count):
+    r = run_cli("selfcheck", "--count", count)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("usage: ") and "argument --count" in r.stderr
+
+
 def test_emitted_group_graph_json_reparses(tmp_path):
     # round-trip: the tf_red emitted by analyze is a loadable group-graph
     from groupgraph.group_graph import GroupGraph

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import constant_group_graph, finite_gg, is_abelian, vector_gg
+from conftest import (
+    compose_graph_morphisms,
+    constant_group_graph,
+    finite_gg,
+    identity_morphism,
+    is_abelian,
+    vector_gg,
+)
 from groupgraph import group_graph, linalg
 from groupgraph.generators import (
     group_pool,
@@ -206,7 +213,7 @@ def test_pullback_functoriality():
     phi1 = GraphMorphism.make(b, c, {"x": "p", "y": "p"})
     phi2 = GraphMorphism.make(a, b, {"a": "x", "b": "y"})
     gg = constant_group_graph(c, cyclic_group(3))
-    lhs, _ = pullback(phi1.compose(phi2), gg)
+    lhs, _ = pullback(compose_graph_morphisms(phi1, phi2), gg)
     mid, _ = pullback(phi1, gg)
     rhs, _ = pullback(phi2, mid)
     assert lhs.to_json() == rhs.to_json()
@@ -577,7 +584,7 @@ def test_remove_offsupport_edges():
 
 def test_kernel_image_of_identity_and_projection():
     gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(4))
-    ident = GroupGraphMorphism.identity(gg)
+    ident = identity_morphism(gg)
     assert kernel_of(ident).is_trivial()
     assert all(len(x) == gg.obj(s).order for s, x in image_of(ident).subs.items())
 
