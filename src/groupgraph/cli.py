@@ -168,7 +168,7 @@ def run_cohomology(args) -> int:
         else:
             out = {"h0": h0(gg, args.budget).to_json()}
         if mode == "vector":
-            out["h1"] = h1_vector(gg).to_json()
+            out["h1"] = h1_vector(gg, args.budget).to_json()
         elif mode == "bruteforce":
             out["h1"] = h1_finite_bruteforce(gg, args.budget).to_json()
         elif mode == "regular":
@@ -376,15 +376,24 @@ def run_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """A --count value: a non-negative integer."""
+def _int_from(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, not {text!r}")
     return value
+
+
+def _count(text: str) -> int:
+    """A --count value: a non-negative integer."""
+    return _int_from(text, 0, "non-negative")
+
+
+def _budget(text: str) -> int:
+    """A --budget value: a positive integer, since no enumeration fits in 0."""
+    return _int_from(text, 1, "positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument(
         "--mode", choices=["auto", "vector", "bruteforce", "regular", "count"], default="auto"
     )
-    co.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    co.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET)
     co.set_defaults(func=run_cohomology)
 
     sc = sub.add_parser("selfcheck", help="run the seeded verifier suites")
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--count", type=_count, default=10)
-    sc.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    sc.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET)
     sc.add_argument("--output")
     sc.add_argument("--summary", action="store_true")
     sc.set_defaults(func=run_selfcheck)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .graph import edge_key, incidence_key, parse_incidence_key
+from .graph import incidence_key
 from .group_graph import (
     BudgetExceeded,
     GroupGraph,
@@ -37,6 +36,17 @@ from .group_graph import (
 )
 
 DEFAULT_ENUM_BUDGET = 10**7
+
+
+def _check_dense_cells(stage: str, cells: int, budget: int):
+    """Raise BudgetExceeded before a vector-carrier stage builds dense
+    matrices of `cells` entries in all, when that exceeds the budget.  A
+    vertex or edge dimension is not bounded by the size of the input."""
+    if cells > budget:
+        raise BudgetExceeded(
+            f"{stage}: {cells} dense matrix cells exceed budget {budget}",
+            {"cells": cells, "budget": budget},
+        )
 
 
 class Cochain0:
@@ -52,12 +62,6 @@ class Cochain0:
         vobj = self.graph.vobj
         return {v: vobj[v].value_to_json(x) for v, x in sorted(self.values.items())}
 
-    @staticmethod
-    def from_json(g: GroupGraph, data: dict) -> "Cochain0":
-        if set(data) != set(g.base.vertices):
-            raise GroupGraphError("cochain is not total over the vertices")
-        return Cochain0(g, {v: g.vobj[v].value_from_json(x) for v, x in data.items()})
-
 
 class Cocycle1:
     """An antisymmetric family (g_{v,e}) over the oriented incidences, stored
@@ -71,15 +75,6 @@ class Cocycle1:
         if len(self.tail) != len(g.base.edges):
             raise GroupGraphError("cocycle is not total over the edges")
 
-    @staticmethod
-    def trivial(g: GroupGraph) -> "Cocycle1":
-        return Cocycle1(g, (g.eobj[e].identity() for e in g.base.sorted_edges()))
-
-    def is_trivial(self) -> bool:
-        eobj = self.graph.eobj
-        edges = self.graph.base.sorted_edges()
-        return all(x == eobj[e].identity() for e, x in zip(edges, self.tail))
-
     def to_json(self) -> dict:
         """Both incidences of every edge, the head value as the tail's inverse."""
         eobj = self.graph.eobj
@@ -90,22 +85,6 @@ class Cocycle1:
         return {
             incidence_key(v, e): eobj[e].value_to_json(x) for (v, e), x in sorted(values.items())
         }
-
-    @staticmethod
-    def from_json(g: GroupGraph, data: dict) -> "Cocycle1":
-        """Read both incidences of every edge; a head value that is not the
-        inverse of its tail value raises GroupGraphError."""
-        raw = {parse_incidence_key(key): x for key, x in data.items()}
-        if set(raw) != set(g.base.incidences()):
-            raise GroupGraphError("cocycle is not total over the incidences")
-        tail = []
-        for e in g.base.sorted_edges():
-            grp = g.eobj[e]
-            x, y = (grp.value_from_json(raw[(v, e)]) for v in e)
-            if grp.mul(x, y) != grp.identity():
-                raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
-            tail.append(x)
-        return Cocycle1(g, tail)
 
 
 def coboundary_action(c: Cochain0, z: Cocycle1, g: GroupGraph) -> Cocycle1:
@@ -198,14 +177,16 @@ class CohomologyResult:
             out["elements"] = [c.to_json() for c in self.elements]
         return out
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
     """Compatible vertex families: the kernel of the difference map, or an
     exhaustive filter."""
     if g.carrier == "vector":
+        # the difference map, dim C1 x dim C0, and at most dim C0 kernel
+        # vectors of dim C0 entries
+        ncols = sum(o.dim for o in g.vobj.values())
+        cells = (sum(o.dim for o in g.eobj.values()) + ncols) * ncols
+        _check_dense_cells("H0 basis", cells, budget)
         basis, offs = _h0_basis_vector(g, g.base)
         cochains = [
             Cochain0(g, {v: vec[offs[v]: offs[v] + g.vobj[v].dim] for v in offs})
@@ -219,19 +200,23 @@ def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
     return CohomologyResult("h0", "finite", order=len(found), elements=found)
 
 
-def h1_vector(g: GroupGraph) -> CohomologyResult:
+def h1_vector(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
     """dim H1 = dim Z1 - rank of the coboundary.  B1 is the column space of
     the difference map (the coboundary up to sign), and its rank comes from
     sparse elimination (`linalg.sparse_rank`).  The basis (unit vectors in the
     concatenated tail coordinates, split into per-edge tails) and the image
     basis of B1 (the row space of the transposed map) are built by dense rref
-    on first read; their length is checked against `dim` then."""
+    on first read; their size is checked against the budget before, and their
+    length against `dim` after."""
     if g.carrier != "vector":
         raise GroupGraphError("h1_vector requires the vector carrier")
     rows, _, ncols, eoffs = _difference_map(g, g.base)
     etotal = len(rows)
 
     def bases():
+        # the difference map, dim C1 x dim C0, and at most dim C1 basis
+        # vectors of dim C1 entries
+        _check_dense_cells("H1 basis", (ncols + etotal) * etotal, budget)
         im_basis = linalg.row_space_basis(linalg.transpose(linalg.dense(rows, ncols), ncols))
         basis = []
         for i in linalg.extend_to_basis(im_basis, etotal):
@@ -541,20 +526,6 @@ class H1Map:
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
-
-    def to_json(self) -> dict:
-        out = {
-            "carrier": self.carrier,
-            "source": self.source_result.to_json(),
-            "target": self.target_result.to_json(),
-            "injective": self.is_injective(),
-            "surjective": self.is_surjective(),
-        }
-        if self.mapping is not None:
-            out["mapping"] = self.mapping
-        if self.matrix is not None:
-            out["matrix"] = linalg.matrix_to_json(self.matrix)
-        return out
 
 
 def h1_map(m: GroupGraphMorphism, budget: int = DEFAULT_ENUM_BUDGET) -> H1Map:

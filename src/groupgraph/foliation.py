@@ -152,9 +152,6 @@ class FoliationSpec:
             edge_kind, edge_holonomy, edge_tdim, cs,
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):

@@ -7,7 +7,6 @@ lexicographically smallest candidate so all outputs are deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +18,10 @@ RESERVED = set("#|")
 
 class GraphError(ValueError):
     pass
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def edge(a: str, b: str) -> Edge:
@@ -134,10 +137,15 @@ class Graph:
 
     @staticmethod
     def from_json(data: dict) -> "Graph":
-        return Graph.make(data["vertices"], data["edges"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        """The inverse of `to_json`.  Vertices must be a JSON array of strings
+        and each edge an array of two strings; anything else raises
+        GraphError (a string is not read as a list of one-letter names)."""
+        vertices, edges = data["vertices"], data["edges"]
+        if not _strings(vertices):
+            raise GraphError("vertices must be an array of strings")
+        if not isinstance(edges, list) or not all(_strings(e) and len(e) == 2 for e in edges):
+            raise GraphError("edges must be an array of two-string arrays")
+        return Graph.make(vertices, edges)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ def _is_int(x) -> bool:
 # carriers
 #
 # The group object of a star is its carrier: both classes answer the element
-# operations mul, inv and identity() (written multiplicatively) and read and
-# write element values as JSON, so cochain code never asks which carrier it is.
+# operations mul, inv and identity() (written multiplicatively) and write
+# element values as JSON, so cochain code never asks which carrier it is.
 
 
 class FiniteGroup:
@@ -109,11 +109,6 @@ class FiniteGroup:
 
     def value_to_json(self, x: int) -> int:
         return x
-
-    def value_from_json(self, data) -> int:
-        if not (_is_int(data) and 0 <= data < self.order):
-            raise GroupGraphError(f"element {data!r} is not an index below {self.order}")
-        return data
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -186,9 +181,6 @@ class FiniteGroup:
 
     def __hash__(self):
         return hash((self.order, self.table))
-
-    def __repr__(self):
-        return f"FiniteGroup(order={self.order})"
 
     def to_json(self) -> dict:
         return {"order": self.order, "table": [list(r) for r in self.table]}
@@ -289,14 +281,6 @@ class VectorSpace:
 
     def value_to_json(self, x: list[Fraction]) -> list:
         return [linalg.frac_to_json(c) for c in x]
-
-    def value_from_json(self, data) -> list[Fraction]:
-        try:
-            if isinstance(data, list) and len(data) == self.dim:
-                return [linalg.frac(c) for c in data]
-        except (TypeError, ValueError):
-            pass
-        raise GroupGraphError(f"value {data!r} is not a list of {self.dim} rationals")
 
     def is_trivial(self) -> bool:
         return self.dim == 0
@@ -782,11 +766,6 @@ class SubGroupGraph:
             self.parent.obj(s).is_normal(self.subs[s])
             for s in self.subs
         )
-
-    def is_trivial(self) -> bool:
-        if self.parent.carrier == "finite":
-            return all(len(x) == 1 for x in self.subs.values())
-        return all(len(x) == 0 for x in self.subs.values())
 
 
 def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGraph, GroupGraphMorphism]:

@@ -16,6 +16,7 @@ from .cohomology import (
     Cocycle1,
     CohomologyResult,
     DEFAULT_ENUM_BUDGET,
+    _check_dense_cells,
     _orbits,
     coboundary_action,
     h1_auto,
@@ -66,13 +67,6 @@ class RepulsivityReport:
 
     def is_repulsive(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "subtree": self.subtree,
-            "violations": [[v, list(e)] for v, e in self.violations],
-            "repulsive": self.is_repulsive(),
-        }
 
 
 def check_repulsive(g: GroupGraph, r) -> RepulsivityReport:
@@ -488,6 +482,8 @@ def regular_h1(
         dim = sum(g.eobj[e].dim for e in st.a_prime)
 
         def bases():
+            cells = dim * sum(o.dim for o in g.eobj.values())  # dim cocycles of dim C1 entries
+            _check_dense_cells("active-edge H1 basis", cells, budget)
             basis = []
             for e in st.a_prime:
                 for i in range(g.eobj[e].dim):

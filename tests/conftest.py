@@ -4,13 +4,24 @@ from dataclasses import dataclass
 import pytest
 
 from groupgraph import linalg
-from groupgraph.graph import Graph, GraphError, GraphMorphism, edge, validate_tree
+from groupgraph.cohomology import Cochain0, Cocycle1
+from groupgraph.graph import (
+    Graph,
+    GraphError,
+    GraphMorphism,
+    edge,
+    edge_key,
+    parse_incidence_key,
+    validate_tree,
+)
 from groupgraph.group_graph import (
     CARRIERS,
+    FiniteGroup,
     GroupGraph,
     GroupGraphError,
     GroupGraphMorphism,
     GroupHom,
+    SubGroupGraph,
     VectorSpace,
 )
 
@@ -50,6 +61,63 @@ def compose_morphisms(outer: GroupGraphMorphism, inner: GroupGraphMorphism) -> G
         img = outer.over.apply(star) if isinstance(star, str) else outer.over.apply_edge(star)
         maps[star] = outer.maps[star].compose(inner.maps[img])
     return GroupGraphMorphism(over, inner.source, outer.target, maps)
+
+
+def value_from_json(obj, data):
+    """An element of a carrier object read from its JSON value, the inverse of
+    `obj.value_to_json`; a value of the wrong form raises GroupGraphError."""
+    if isinstance(obj, FiniteGroup):
+        if isinstance(data, int) and not isinstance(data, bool) and 0 <= data < obj.order:
+            return data
+        raise GroupGraphError(f"element {data!r} is not an index below {obj.order}")
+    try:
+        if isinstance(data, list) and len(data) == obj.dim:
+            return [linalg.frac(c) for c in data]
+    except (TypeError, ValueError):
+        pass
+    raise GroupGraphError(f"value {data!r} is not a list of {obj.dim} rationals")
+
+
+def cochain_from_json(g: GroupGraph, data: dict) -> Cochain0:
+    """The inverse of `Cochain0.to_json`."""
+    if set(data) != set(g.base.vertices):
+        raise GroupGraphError("cochain is not total over the vertices")
+    return Cochain0(g, {v: value_from_json(g.vobj[v], x) for v, x in data.items()})
+
+
+def cocycle_from_json(g: GroupGraph, data: dict) -> Cocycle1:
+    """The inverse of `Cocycle1.to_json`: both incidences of every edge are
+    read, and a head value that is not the inverse of its tail value raises
+    GroupGraphError."""
+    raw = {parse_incidence_key(key): x for key, x in data.items()}
+    if set(raw) != set(g.base.incidences()):
+        raise GroupGraphError("cocycle is not total over the incidences")
+    tail = []
+    for e in g.base.sorted_edges():
+        grp = g.eobj[e]
+        x, y = (value_from_json(grp, raw[(v, e)]) for v in e)
+        if grp.mul(x, y) != grp.identity():
+            raise GroupGraphError(f"antisymmetry fails at {edge_key(e)}")
+        tail.append(x)
+    return Cocycle1(g, tail)
+
+
+def trivial_cocycle(g: GroupGraph) -> Cocycle1:
+    """The cocycle with the identity on every edge."""
+    return Cocycle1(g, (g.eobj[e].identity() for e in g.base.sorted_edges()))
+
+
+def is_trivial_cocycle(z: Cocycle1) -> bool:
+    eobj = z.graph.eobj
+    return all(x == eobj[e].identity() for e, x in zip(z.graph.base.sorted_edges(), z.tail))
+
+
+def is_trivial_sub(k: SubGroupGraph) -> bool:
+    """Whether a sub-group-graph is the identity (finite) or zero (vector)
+    sub-object on every star."""
+    if k.parent.carrier == "finite":
+        return all(len(x) == 1 for x in k.subs.values())
+    return all(len(x) == 0 for x in k.subs.values())
 
 
 def is_abelian(grp) -> bool:

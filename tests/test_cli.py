@@ -469,6 +469,14 @@ MALFORMED = [
      "edge D1#Z9: not in the tree"),
     ("holonomy-off-endpoint", T4, ("edges", "D1#D2", "holonomy", "D9"),
      {"periodic": True, "order": 2}, 2, "edge D1#D2: holonomy at D9, which is not an endpoint"),
+    ("tree-vertices-string", SEG, ("tree", "vertices"), "D1", 1,
+     "bad tree: vertices must be an array of strings"),
+    ("tree-vertex-int", SEG, ("tree", "vertices"), ["D1", 2], 1,
+     "bad tree: vertices must be an array of strings"),
+    ("tree-edge-string", SEG, ("tree", "edges"), ["D1D2"], 1,
+     "bad tree: edges must be an array of two-string arrays"),
+    ("tree-edge-triple", SEG, ("tree", "edges"), [["D1", "D2", "D1"]], 1,
+     "bad tree: edges must be an array of two-string arrays"),
 ]
 
 
@@ -554,6 +562,80 @@ def test_selfcheck_rejects_a_bad_count_with_usage(count):
     assert r.stderr.startswith("usage: ") and "argument --count" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["cohomology", "selfcheck"])
+@pytest.mark.parametrize("budget", ["-5", "0", "x"])
+def test_a_budget_below_one_is_a_usage_error(tmp_path, command, budget):
+    # no enumeration fits in a budget below 1
+    where = ["--input", write_json(tmp_path / "gg.json", finite_gg_json())]
+    r = run_cli(command, "--budget", budget, *(where if command == "cohomology" else []))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("usage: ") and "argument --budget: expected a positive" in r.stderr
+
+
+def test_a_budget_of_one_is_accepted(tmp_path, capsys):
+    data = finite_gg_json()
+    data["edges"]["a#b"] = {"order": 1, "table": [[0]]}
+    path = write_json(tmp_path / "gg.json", data)
+    assert cli.main(["cohomology", "--input", path, "--budget", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["h1"]["count"] == 1
+
+
+def test_a_string_tree_is_not_read_as_one_letter_names(tmp_path, capsys):
+    # "DE" would iterate as the vertices D and E, and "DE" as the edge (D, E)
+    red = {"kind": "invariant", "holonomy": {"finite": False, "tdim": 0}}
+    spec = {
+        "tree": {"vertices": "DE", "edges": ["DE"]},
+        "vertices": {"D": red, "E": red},
+        "edges": {"D#E": {"kind": "singular", "tdim": 1, "holonomy": {
+            "D": {"periodic": False}, "E": {"periodic": False}}}},
+    }
+    assert cli.main(["analyze", "--input", write_json(tmp_path / "spec.json", spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: bad tree: vertices must be an array of strings\n"
+
+
+def test_a_string_base_is_not_read_as_one_letter_names(tmp_path, capsys):
+    data = finite_gg_json()
+    data["base"] = {"vertices": "ab", "edges": ["ab"]}
+    path = write_json(tmp_path / "gg.json", data)
+    assert cli.main(["cohomology", "--input", path, "--mode", "count"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cannot read group-graph: vertices must be an array of strings\n"
+
+
+def _vector_json(vdims: dict, edims: dict) -> dict:
+    """A vector group-graph whose restrictions are zero matrices."""
+    return {
+        "base": {"vertices": sorted(vdims), "edges": [k.split("#") for k in edims]},
+        "carrier": "vector",
+        "vertices": {v: {"dim": d} for v, d in vdims.items()},
+        "edges": {k: {"dim": d} for k, d in edims.items()},
+        "restrictions": {
+            f"{v}|{k}": {"matrix": [[0] * vdims[v] for _ in range(d)]}
+            for k, d in edims.items() for v in k.split("#")
+        },
+    }
+
+
+@pytest.mark.parametrize("data,mode,stage", [
+    (_vector_json({"a": 300}, {}), "vector", "H0 basis"),  # an isolated vertex
+    (_vector_json({"a": 300, "b": 0}, {"a#b": 0}), "vector", "H0 basis"),  # dim-0 edges only
+    (_vector_json({"a": 0, "b": 0}, {"a#b": 300}), "vector", "H1 basis"),
+    (_vector_json({"a": 0, "b": 0}, {"a#b": 300}), "regular", "active-edge H1 basis"),
+], ids=["isolated-vertex", "vertex-with-dim-0-edges", "edge", "edge-regular"])
+def test_vector_bases_are_budgeted_before_they_are_built(tmp_path, capsys, data, mode, stage):
+    # none of these dimensions is bounded by the size of the input: each
+    # basis would hold 300 x 300 = 90,000 entries
+    path = write_json(tmp_path / "gg.json", data)
+    assert cli.main(["cohomology", "--input", path, "--mode", mode, "--budget", "10000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"budget exceeded: {stage}: 90000 dense matrix cells exceed")
+    assert cli.main(["cohomology", "--input", path, "--mode", mode]) == 0
+
+
 def test_emitted_group_graph_json_reparses(tmp_path):
     # round-trip: the tf_red emitted by analyze is a loadable group-graph
     from groupgraph.group_graph import GroupGraph
@@ -592,6 +674,8 @@ MALFORMED_GROUP_GRAPHS = [
     ("entry-true", ("restrictions", "a|a#b", ENTRY), True),
     ("entry-zero-denominator", ("restrictions", "a|a#b", ENTRY), "1/0"),
     ("entry-exponent", ("restrictions", "a|a#b", ENTRY), "1e10000000"),
+    ("base-vertices-string", ("base", "vertices"), "ab"),
+    ("base-edge-string", ("base", "edges"), ["ab"]),
 ]
 
 

@@ -383,6 +383,6 @@ def test_geodesic_validation():
 
 def test_graph_json_round_trip():
     g = path_graph("a", "b", "c")
-    data = json.loads(g.dumps())
+    data = json.loads(json.dumps(g.to_json()))
     assert Graph.from_json(data) == g
     assert data == {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
