@@ -537,8 +537,8 @@ def h1_map(m: GroupGraphMorphism, budget: int = DEFAULT_ENUM_BUDGET) -> H1Map:
             h1_class_of(tgt, push_cocycle(m, rep)) for rep in src.representatives
         ]
         return H1Map(m, src, tgt, "finite", mapping=mapping)
-    src = h1_vector(m.source)
-    tgt = h1_vector(m.target)
+    src = h1_vector(m.source, budget)
+    tgt = h1_vector(m.target, budget)
     cols = [
         h1_class_coordinates(tgt, push_cocycle(m, b)) for b in src.basis
     ]

@@ -16,7 +16,7 @@ the `Analysis` it returns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .graph import (
@@ -34,7 +34,7 @@ from .graph import (
 )
 from .group_graph import GroupGraph, GroupHom, VectorSpace, _is_int, is_regular
 from .cohomology import h1_vector
-from .theorems import VerificationError, HypothesisViolated, regular_h1, restrict, build_active_structure
+from .theorems import VerificationError, HypothesisViolated, regular_h1
 from . import _jsontext, linalg
 
 
@@ -570,10 +570,10 @@ def _contracted_rank(tf: GroupGraph) -> int:
 @dataclass
 class ModuliReport:
     cut_components: list
-    red_subgraph_json: dict
+    red_subgraph: dict
     red_components: list
     finite_type: str
-    component_reports: list
+    components: list
     entirely_green: list
     characterization: dict
     tf_red: dict
@@ -583,20 +583,7 @@ class ModuliReport:
     active: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "cut_components": self.cut_components,
-            "red_subgraph": self.red_subgraph_json,
-            "red_components": self.red_components,
-            "finite_type": self.finite_type,
-            "components": self.component_reports,
-            "entirely_green": self.entirely_green,
-            "characterization": self.characterization,
-            "tf_red": self.tf_red,
-            "moduli_dim": self.moduli_dim,
-            "basis_edges": self.basis_edges,
-            "cs_indices": self.cs_indices,
-            "active": self.active,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def dumps(self) -> str:
         return _jsontext.dumps(self.to_json())
@@ -612,18 +599,9 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
 
     active_json = None
     if verdict == "finite":
-        red_parts = connected_components(ctx.red)
-        if len(red_parts) == 1:
-            # the red part is tf's whole base: regular_h1 builds tf's structure
-            st, res = regular_h1(tf, crosscheck=False)
-            dim_active = res.dim
-        else:
-            st = build_active_structure(tf)
-            dim_active = 0
-            for comp_vs, comp_es in red_parts:
-                comp_tf = restrict(tf, Graph(frozenset(comp_vs), frozenset(comp_es)))
-                _, res = regular_h1(comp_tf, crosscheck=False)
-                dim_active += res.dim
+        # tf's base is the red forest: one call sums H1 over its trees
+        st, res = regular_h1(tf, crosscheck=False)
+        dim_active = res.dim
         dim_rank = h1_vector(tf).dim
         dim_contracted = _contracted_rank(tf)
         if not (dim_active == dim_rank == dim_contracted == len(st.a_prime)):
@@ -641,10 +619,10 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
 
     return ModuliReport(
         cut_components=[c.to_json() for c in ctx.comps],
-        red_subgraph_json=ctx.red.to_json(),
+        red_subgraph=ctx.red.to_json(),
         red_components=[c.to_json() for c in ctx.red_per_comp],
         finite_type=verdict,
-        component_reports=comp_reports,
+        components=comp_reports,
         entirely_green=ctx.entirely_green,
         characterization=ctx.characterization,
         tf_red=tf.to_json(),

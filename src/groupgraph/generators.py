@@ -61,21 +61,18 @@ def random_surjective_matrix(rng: random.Random, rows: int, cols: int):
 # regular instances
 
 
-def random_regular_vector(
-    rng: random.Random, max_vertices: int = 10, dims=(0, 1, 2), equidim: int | None = None
-) -> GroupGraph:
+def random_regular_vector(rng: random.Random, max_vertices: int = 10, dims=(0, 1, 2)) -> GroupGraph:
     """Regular rational group-graph over a random tree: supported incident
     pairs share a dimension and carry invertible restrictions."""
     n = rng.randint(2, max_vertices)
     t = random_tree(rng, n)
-    pool = list(dims) if equidim is None else [0, equidim]
-    vdim = {v: rng.choice(pool) for v in t.vertices}
+    vdim = {v: rng.choice(dims) for v in t.graph.sorted_vertices()}
     edim = {}
     for a, b in t.graph.sorted_edges():
         choices = {0}
         da, db = vdim[a], vdim[b]
         if da == 0 and db == 0:
-            choices |= {d for d in pool if d > 0}
+            choices |= {d for d in dims if d > 0}
         elif da == 0 or db == 0 or da == db:
             choices.add(max(da, db))
         edim[(a, b)] = rng.choice(sorted(choices))
@@ -134,7 +131,7 @@ def random_regular_finite(
     n = rng.randint(2, max_vertices)
     t = random_tree(rng, n)
     triv = trivial_group()
-    vobj = {v: (grp if rng.random() < 0.7 else triv) for v in t.vertices}
+    vobj = {v: (grp if rng.random() < 0.7 else triv) for v in t.graph.sorted_vertices()}
     eobj = {e: (grp if rng.random() < 0.7 else triv) for e in t.graph.sorted_edges()}
     restrictions = {}
     for v, e in t.graph.incidences():
@@ -198,7 +195,7 @@ def random_repulsive_instance(
     rset = random_connected_subset(rng, t, rng.randint(1, n))
     constrained = set(constrained_incidences(t, rset))
     if carrier == "vector":
-        vdim = {v: rng.randint(0, 2) for v in t.vertices}
+        vdim = {v: rng.randint(0, 2) for v in t.graph.sorted_vertices()}
         edim = {e: rng.randint(0, 2) for e in t.graph.sorted_edges()}
         for v, e in constrained:
             edim[e] = min(edim[e], vdim[v])
@@ -213,9 +210,9 @@ def random_repulsive_instance(
             restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
         return GroupGraph(t.graph, "vector", vobj, eobj, restrictions), rset
     orders = [1, 2, 3, 4, 6]
-    vord = {v: rng.choice(orders) for v in t.vertices}
+    vord = {v: rng.choice(orders) for v in t.graph.sorted_vertices()}
     eord = {e: rng.choice(orders) for e in t.graph.sorted_edges()}
-    for v, e in constrained:
+    for v, e in sorted(constrained):
         eord[e] = rng.choice([d for d in orders if vord[v] % d == 0])
     vobj = {v: cyclic_group(vord[v]) for v in t.vertices}
     eobj = {e: cyclic_group(eord[e]) for e in eord}
@@ -239,7 +236,7 @@ def random_nonrepulsive_instance(
         constrained = constrained_incidences(t, rset)
         if not constrained:
             continue
-        vdim = {v: rng.randint(0, 2) for v in t.vertices}
+        vdim = {v: rng.randint(0, 2) for v in t.graph.sorted_vertices()}
         edim = {e: rng.randint(0, 2) for e in t.graph.sorted_edges()}
         bad_v, bad_e = constrained[rng.randrange(len(constrained))]
         edim[bad_e] = rng.randint(1, 2)
@@ -306,7 +303,7 @@ def random_exact_sequence(
 
 def random_finite_group_graph(rng: random.Random, t: Tree, max_order: int = 4) -> GroupGraph:
     orders = [o for o in (1, 2, 3, 4) if o <= max_order]
-    vord = {v: rng.choice(orders) for v in t.vertices}
+    vord = {v: rng.choice(orders) for v in t.graph.sorted_vertices()}
     eord = {e: rng.choice(orders) for e in t.graph.sorted_edges()}
     vobj = {v: cyclic_group(vord[v]) for v in t.vertices}
     eobj = {e: cyclic_group(eord[e]) for e in eord}
@@ -317,7 +314,7 @@ def random_finite_group_graph(rng: random.Random, t: Tree, max_order: int = 4) -
 
 
 def random_vector_group_graph(rng: random.Random, t: Tree, max_dim: int = 2) -> GroupGraph:
-    vdim = {v: rng.randint(0, max_dim) for v in t.vertices}
+    vdim = {v: rng.randint(0, max_dim) for v in t.graph.sorted_vertices()}
     edim = {e: rng.randint(0, max_dim) for e in t.graph.sorted_edges()}
     vobj = {v: VectorSpace(vdim[v]) for v in t.vertices}
     eobj = {e: VectorSpace(edim[e]) for e in edim}
@@ -351,14 +348,14 @@ def random_direct_image_pair(
 _GREEN_ORDERS = [2, 3, 4, 6, 8, 12]
 
 
-def _decorate_green(rng, spec: dict, v: str, order: int | None = None) -> int:
-    n = order if order is not None else rng.choice(_GREEN_ORDERS)
+def _decorate_green(rng, spec: dict, v: str) -> int:
+    n = rng.choice(_GREEN_ORDERS)
     spec["vertices"][v] = {"kind": "invariant", "holonomy": {"finite": True, "order": n}}
     return n
 
 
-def _decorate_red(rng, spec: dict, v: str, tdim: int | None = None) -> int:
-    t = rng.choice([0, 1]) if tdim is None else tdim
+def _decorate_red(rng, spec: dict, v: str) -> int:
+    t = rng.choice([0, 1])
     spec["vertices"][v] = {"kind": "invariant", "holonomy": {"finite": False, "tdim": t}}
     return t
 
@@ -451,7 +448,7 @@ def random_foliation_spec(
     return spec
 
 
-def random_injected_spec(rng: random.Random, gtype: int, max_extra: int = 5) -> dict:
+def random_injected_spec(rng: random.Random, gtype: int) -> dict:
     """A valid spec whose single cut-component contains a forbidden geodesic
     of the requested type, so it is not of finite type."""
     if gtype == 1:
@@ -473,7 +470,7 @@ def random_injected_spec(rng: random.Random, gtype: int, max_extra: int = 5) -> 
 
     vertices = list(pattern)
     edges = [(pattern[i], pattern[i + 1]) for i in range(len(pattern) - 1)]
-    for i in range(rng.randint(0, max_extra)):
+    for i in range(rng.randint(0, 5)):
         host = rng.choice(vertices)
         name = f"X{i}"
         vertices.append(name)

@@ -26,7 +26,10 @@ from .cohomology import (
     h1_vector,
     push_cocycle,
 )
-from .graph import Edge, Graph, GraphMorphism, Tree, contract, edge_key, subtree_parents
+from .graph import (
+    Edge, Graph, GraphError, GraphMorphism, Tree, connected_components, contract, edge_key,
+    subtree_parents,
+)
 from .group_graph import (
     BudgetExceeded,
     GroupGraph,
@@ -365,7 +368,6 @@ class ActiveStructure:
     active_edges: list[Edge]
     active_vertex: dict
     components: list[dict]
-    chosen: dict
     a_prime: list[Edge]
 
     @property
@@ -374,7 +376,7 @@ class ActiveStructure:
 
     @property
     def p(self) -> int:
-        return len(self.chosen)
+        return sum(1 for comp in self.components if comp["chosen"])
 
     def to_json(self) -> dict:
         return {
@@ -397,16 +399,15 @@ class ActiveStructure:
         }
 
 
-def build_active_structure(g: GroupGraph, prefer_last: bool = False) -> ActiveStructure:
+def build_active_structure(g: GroupGraph) -> ActiveStructure:
     """Active edges, the selected active vertices, and the reduced edge set.
 
     An edge is active when its group is nontrivial and some endpoint carries
     the trivial group; per active component not reduced to a single edge, one
-    active edge is dropped from the basis set.  The default selection is the
-    lexicographically smallest candidate; prefer_last reverses every choice
-    (dimensions and counts must not depend on it).
+    active edge is dropped from the basis set.  Every selection takes the
+    lexicographically smallest candidate (dimensions and counts do not depend
+    on it).
     """
-    pick_one = max if prefer_last else min
     supp = set(support(g))
     active_edges = []
     active_vertex = {}
@@ -419,11 +420,10 @@ def build_active_structure(g: GroupGraph, prefer_last: bool = False) -> ActiveSt
             continue
         active_edges.append(e)
         nontrivial = [v for v in (a, b) if v in supp]
-        active_vertex[e] = nontrivial[0] if nontrivial else pick_one(a, b)
+        active_vertex[e] = nontrivial[0] if nontrivial else min(a, b)
 
     active_set = set(active_edges)
     components = []
-    chosen = {}
     for comp in support_components(g):
         comp_edges = [s for s in comp if not isinstance(s, str)]
         actives_here = [e for e in comp_edges if e in active_set]
@@ -434,13 +434,11 @@ def build_active_structure(g: GroupGraph, prefer_last: bool = False) -> ActiveSt
             "chosen": None,
         }
         if entry["active"] and not entry["single_edge"]:
-            pick = pick_one(actives_here)
-            entry["chosen"] = pick
-            chosen[tuple(sorted((str(s) for s in comp)))] = pick
+            entry["chosen"] = min(actives_here)
         components.append(entry)
     removed = {entry["chosen"] for entry in components if entry["chosen"]}
     a_prime = [e for e in active_edges if e not in removed]
-    return ActiveStructure(active_edges, active_vertex, components, chosen, a_prime)
+    return ActiveStructure(active_edges, active_vertex, components, a_prime)
 
 
 def _delta_cocycle(g: GroupGraph, st: ActiveStructure, assignment: dict) -> Cocycle1:
@@ -459,12 +457,12 @@ def _delta_cocycle(g: GroupGraph, st: ActiveStructure, assignment: dict) -> Cocy
 
 
 def regular_h1(
-    g: GroupGraph,
-    crosscheck: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    prefer_last: bool = False,
+    g: GroupGraph, crosscheck: bool = True, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[ActiveStructure, CohomologyResult]:
-    """H1 of a regular group-graph over a tree via the active-edge description.
+    """H1 of a regular group-graph over a forest via the active-edge
+    description.  H1 over a forest is the direct sum over its trees, so one
+    call covers them all; a base with a cycle raises GraphError, on which
+    `cohomology --mode regular` exits 1.
 
     Vector carrier: dimension is the total dimension over the reduced active
     set; the explicit basis of delta cocycles is built on first read.  Finite
@@ -475,8 +473,9 @@ def regular_h1(
     ok, violations = is_regular(g)
     if not ok:
         raise GroupGraphError(f"group-graph is not regular: {violations}")
-    Tree(g.base)
-    st = build_active_structure(g, prefer_last=prefer_last)
+    if len(g.base.edges) != len(g.base.vertices) - len(connected_components(g.base)):
+        raise GraphError("base graph has a cycle")
+    st = build_active_structure(g)
 
     if g.carrier == "vector":
         dim = sum(g.eobj[e].dim for e in st.a_prime)

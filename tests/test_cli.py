@@ -149,6 +149,54 @@ def test_cohomology_regular_mode_emits_active_structure(tmp_path):
     assert out["h1"]["dim"] == 1
 
 
+def test_cohomology_regular_mode_on_a_forest_and_on_a_cycle(tmp_path, capsys):
+    # two single-edge trees: each active edge stays in the basis
+    forest = _vector_json({"a": 0, "b": 0, "c": 0, "d": 0}, {"a#b": 1, "c#d": 2})
+    assert cli.main(["cohomology", "--input", write_json(tmp_path / "forest.json", forest),
+                     "--mode", "regular"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["h1"]["dim"] == 3 and out["active"]["a_prime"] == ["a#b", "c#d"]
+    cycle = _vector_json({"a": 0, "b": 0, "c": 0}, {"a#b": 1, "b#c": 1, "a#c": 1})
+    assert cli.main(["cohomology", "--input", write_json(tmp_path / "cycle.json", cycle),
+                     "--mode", "regular"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cannot run mode 'regular': base graph has a cycle\n"
+
+
+REPLAY = """
+import hashlib, random
+from groupgraph import _jsontext, generators as gen
+digest = hashlib.sha256()
+for seed in range(20):
+    rng = random.Random(seed)
+    t = gen.random_tree(rng, rng.randint(1, 6))
+    drawn = [
+        gen.random_regular_vector(rng, max_vertices=7),
+        gen.random_regular_finite(rng, max_vertices=5),
+        *gen.random_repulsive_instance(rng, "vector"),
+        *gen.random_repulsive_instance(rng, "finite"),
+        *gen.random_nonrepulsive_instance(rng),
+        gen.random_finite_group_graph(rng, t),
+        gen.random_vector_group_graph(rng, t),
+    ]
+    for x in drawn:
+        digest.update(_jsontext.dumps(sorted(x) if isinstance(x, frozenset) else x.to_json()).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_generated_instances_do_not_depend_on_the_hash_seed():
+    # a seeded instance must replay in another process, whatever its hash seed
+    digests = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        r = subprocess.run([sys.executable, "-c", REPLAY], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+        assert r.returncode == 0, r.stderr
+        digests.add(r.stdout)
+    assert len(digests) == 1, digests
+
+
 def test_cohomology_mode_carrier_mismatch(tmp_path):
     path = write_json(tmp_path / "gg.json", vector_gg_json())
     assert run_cli("cohomology", "--input", path, "--mode", "bruteforce").returncode == 1
@@ -316,7 +364,7 @@ def test_selfcheck_characterization_fails_on_an_entirely_green_component(monkeyp
 
 
 def test_selfcheck_is_byte_identical_across_runs():
-    # the generators iterate frozensets, whose order changes with the hash seed
+    # frozenset iteration order changes with the hash seed; the report must not
     expected = (FIXTURES / "selfcheck_s0_c10.json").read_text()
     for hash_seed in ("0", "1", "2"):
         r = subprocess.run(

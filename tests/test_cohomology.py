@@ -970,6 +970,14 @@ def test_h1_map_identity():
     assert mp.mapping == list(range(mp.source_result.count))
 
 
+def test_h1_map_budgets_the_vector_bases():
+    # 0-dim vertices and a 50-dim edge: each side's H1 basis is 50 x 50
+    gg = vector_gg(["a", "b"], [("a", "b")], {"a": 0, "b": 0}, {("a", "b"): 50})
+    with pytest.raises(BudgetExceeded, match="H1 basis: 2500 dense matrix cells exceed budget 10"):
+        h1_map(identity_morphism(gg), budget=10)
+    assert h1_map(identity_morphism(gg), budget=2500).is_bijective()
+
+
 def test_h1_map_to_trivial_target():
     gg = seg_gg_finite(trivial_group(), trivial_group(), cyclic_group(3))
     triv = constant_group_graph(gg.base, trivial_group())

@@ -194,9 +194,23 @@ def test_one_active_structure_for_a_single_red_component(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(theorems, "build_active_structure", counted)
-    monkeypatch.setattr(foliation, "build_active_structure", counted)
     assert foliation.moduli_dimension(spec).finite_type == "finite"
     assert len(calls) == 1
+
+
+def test_one_active_structure_for_several_red_components(monkeypatch):
+    calls = []
+    real = theorems.build_active_structure
+    monkeypatch.setattr(theorems, "build_active_structure", lambda g: calls.append(g) or real(g))
+    parts = []
+    for seed in range(80):
+        spec = FoliationSpec.from_json(random_foliation_spec(random.Random(seed)))
+        calls.clear()
+        report = foliation.moduli_dimension(spec)
+        if report.finite_type == "finite":
+            assert len(calls) == 1, seed
+            parts.append(len(foliation.connected_components(foliation.analyze(spec).red)))
+    assert sum(k > 1 for k in parts) >= 10 and 1 in parts, parts
 
 
 def test_regularity_is_checked_once_per_restriction(monkeypatch):

@@ -252,8 +252,7 @@ def _cli_roots(tmp: Path):
         _main(0, "selfcheck", "--seed", seed, "--count", 10, "--output", out)
     _main(0, "selfcheck", "--count", 1, "--summary", "--output", out)
 
-    # the generators iterate frozensets, so an instance depends on the hash
-    # seed: the exit code of each mode is worked out from the instance
+    # the exit code of each mode is worked out from the instance
     rng = random.Random(0)
     graphs = [
         random_finite_group_graph(rng, random_tree(rng, 4)),

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from groupgraph.graph import (
     GraphError,
     GraphMorphism,
     Tree,
+    connected_components,
     contract,
     edge,
     subtree_parents,
@@ -537,6 +539,41 @@ def test_regular_h1_not_regular_raises():
         regular_h1(bad)
 
 
+def test_regular_h1_on_a_forest_sums_its_trees():
+    # dropping edges from a regular group-graph over a tree leaves a regular
+    # one over a forest: H1 is the sum (dims) or the product (counts) over
+    # its trees, and the default cross-check passes on the whole forest
+    several = {"vector": 0, "finite": 0}
+    for seed in range(60):
+        rng = random.Random(3100 + seed)
+        if seed % 2:
+            g = random_regular_vector(rng, max_vertices=9)
+        else:
+            g = random_regular_finite(rng, max_vertices=6)
+        kept = frozenset(e for e in g.base.sorted_edges() if rng.random() < 0.6)
+        forest = restrict(g, Graph(g.base.vertices, kept))
+        trees = [
+            restrict(forest, Graph(frozenset(vs), frozenset(es)))
+            for vs, es in connected_components(forest.base)
+        ]
+        st, res = regular_h1(forest)
+        parts = [regular_h1(t) for t in trees]
+        assert st.a_prime == sorted(e for part, _ in parts for e in part.a_prime), seed
+        if g.carrier == "vector":
+            assert res.dim == sum(r.dim for _, r in parts), seed
+        else:
+            assert res.count == math.prod(r.count for _, r in parts), seed
+        several[g.carrier] += len(trees) > 1
+    assert min(several.values()) >= 10, several
+
+
+@pytest.mark.parametrize("obj", [VectorSpace(1), cyclic_group(2)], ids=["vector", "finite"])
+def test_regular_h1_on_a_cyclic_base_raises(obj):
+    triangle = constant_group_graph(Graph.make("abc", [("a", "b"), ("b", "c"), ("a", "c")]), obj)
+    with pytest.raises(GraphError, match="cycle"):
+        regular_h1(triangle)
+
+
 def test_regular_h1_matches_linear_algebra_randomly():
     for seed in range(25):
         g = random_regular_vector(random.Random(seed), max_vertices=8)
@@ -567,16 +604,29 @@ def test_delta_images_are_pairwise_non_cohomologous():
 
 
 def test_choice_independence_of_dimensions():
-    for seed in range(12):
-        g = random_regular_vector(random.Random(400 + seed), max_vertices=7)
-        _, res_first = regular_h1(g, crosscheck=False)
-        _, res_last = regular_h1(g, crosscheck=False, prefer_last=True)
-        assert res_first.dim == res_last.dim
-    for seed in range(8):
+    # dropping the largest active edge of each component instead of the
+    # smallest leaves the dimension and the class count unchanged
+    differs = 0
+    for seed in range(200):
+        g = random_regular_vector(random.Random(400 + seed), max_vertices=9)
+        st, res = regular_h1(g, crosscheck=False)
+        last = reversed_a_prime(g, st)
+        assert res.dim == sum(g.eobj[e].dim for e in last), seed
+        differs += last != st.a_prime
+    for seed in range(200):
         g = random_regular_finite(random.Random(500 + seed), max_vertices=5)
-        _, res_first = regular_h1(g, crosscheck=False)
-        _, res_last = regular_h1(g, crosscheck=False, prefer_last=True)
-        assert res_first.count == res_last.count
+        st, res = regular_h1(g, crosscheck=False)
+        last = reversed_a_prime(g, st)
+        assert res.count == math.prod(g.eobj[e].order for e in last), seed
+        differs += last != st.a_prime
+    assert differs >= 20
+
+
+def reversed_a_prime(g, st):
+    """The reduced active set under the reversed choice, from the oracle."""
+    last = per_edge_active_components(g, st.active_edges, prefer_last=True)
+    removed = {c["chosen"] for c in last if c["chosen"]}
+    return [e for e in st.active_edges if e not in removed]
 
 
 def per_edge_active_components(g, active_edges, prefer_last):
@@ -608,18 +658,20 @@ def test_build_active_structure_matches_per_edge_form():
             graphs.append(build_tf_red(spec))
     assert len(graphs) > 120
     for g in graphs:
-        for prefer_last in (False, True):
-            st = build_active_structure(g, prefer_last=prefer_last)
-            assert st.components == per_edge_active_components(g, st.active_edges, prefer_last)
-            removed = {c["chosen"] for c in st.components if c["chosen"]}
-            assert st.a_prime == [e for e in st.active_edges if e not in removed]
+        st = build_active_structure(g)
+        assert st.components == per_edge_active_components(g, st.active_edges, prefer_last=False)
+        removed = {c["chosen"] for c in st.components if c["chosen"]}
+        assert st.a_prime == [e for e in st.active_edges if e not in removed]
+        assert st.p == len(removed)
+        # the reversed choice drops as many edges
+        assert len(reversed_a_prime(g, st)) == len(st.a_prime)
 
 
 def test_equidimensional_closed_form():
     for seed in range(15):
         rng = random.Random(600 + seed)
         d = rng.choice([1, 2])
-        g = random_regular_vector(rng, max_vertices=7, equidim=d)
+        g = random_regular_vector(rng, max_vertices=7, dims=(0, d))
         st, res = regular_h1(g, crosscheck=False)
         dims = {g.obj(s).dim for s in support(g)}
         if len(dims) != 1:
@@ -633,7 +685,7 @@ def test_active_count_equals_contracted_homology_rank():
     # to be a subgraph, so filter the generated instances accordingly
     checked = 0
     for seed in range(60):
-        g = random_regular_vector(random.Random(700 + seed), max_vertices=8, equidim=1)
+        g = random_regular_vector(random.Random(700 + seed), max_vertices=8, dims=(0, 1))
         supp = set(support(g))
         monotone = all(
             e in supp or all(v not in supp for v in e) for e in g.base.sorted_edges()
@@ -653,7 +705,7 @@ def test_contracted_rank_with_a_vertex_named_star():
     star_spec = json.loads((Path(__file__).parent / "fixtures" / "star_vertex.json").read_text())
     graphs = [build_tf_red(FoliationSpec.from_json(star_spec))]
     for seed in range(200):
-        g = random_regular_vector(random.Random(2700 + seed), max_vertices=8, equidim=1)
+        g = random_regular_vector(random.Random(2700 + seed), max_vertices=8, dims=(0, 1))
         supp = set(support(g))
         monotone = all(
             e in supp or all(v not in supp for v in e) for e in g.base.sorted_edges()
