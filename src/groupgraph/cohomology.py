@@ -517,12 +517,12 @@ class H1Map:
     def is_injective(self) -> bool:
         if self.carrier == "finite":
             return len(set(self.mapping)) == len(self.mapping)
-        return linalg.rank(self.matrix) == (self.source_result.dim or 0)
+        return linalg.rank(self.matrix) == self.source_result.dim
 
     def is_surjective(self) -> bool:
         if self.carrier == "finite":
             return set(self.mapping) == set(range(self.target_result.count))
-        return linalg.rank(self.matrix) == (self.target_result.dim or 0)
+        return linalg.rank(self.matrix) == self.target_result.dim
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -542,9 +542,9 @@ def h1_map(m: GroupGraphMorphism, budget: int = DEFAULT_ENUM_BUDGET) -> H1Map:
     cols = [
         h1_class_coordinates(tgt, push_cocycle(m, b)) for b in src.basis
     ]
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim or 0)]
+    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)]
     return H1Map(m, src, tgt, "vector", matrix=matrix)
 
 
 def h1_auto(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
-    return h1_vector(g) if g.carrier == "vector" else h1_finite_bruteforce(g, budget)
+    return h1_vector(g, budget) if g.carrier == "vector" else h1_finite_bruteforce(g, budget)

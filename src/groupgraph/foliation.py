@@ -33,7 +33,6 @@ from .graph import (
     validate_tree,
 )
 from .group_graph import GroupGraph, GroupHom, VectorSpace, _is_int, is_regular
-from .cohomology import h1_vector
 from .theorems import VerificationError, HypothesisViolated, regular_h1
 from . import _jsontext, linalg
 
@@ -310,7 +309,6 @@ class Analysis:
         component with empty red part needs a certificate vertex making the same
         condition hold along the order it induces.
         """
-        spec = self.spec
         reports = []
         for comp, red in zip(self.comps, self.red_per_comp):
             red_vs = red.vertices
@@ -332,8 +330,7 @@ class Analysis:
                     parent = comp.bfs(sorted(red_vs))
                     failures = [
                         v for v in comp.sorted_vertices()
-                        if v not in red_vs
-                        and spec.vertex_order[v] != spec.edge_holonomy[(v, edge(v, parent[v]))]["order"]
+                        if v not in red_vs and self.classes[(v, edge(v, parent[v]))] == "not-iso"
                     ]
                     if failures:
                         entry["status"] = "fail"
@@ -342,7 +339,7 @@ class Analysis:
             else:
                 cert = None
                 for v in comp.sorted_vertices():
-                    if _certifies(spec, comp, v):
+                    if _certifies(self, comp, v):
                         cert = v
                         break
                 if cert is None:
@@ -380,18 +377,16 @@ class Analysis:
     @cached_property
     def tf_red(self) -> GroupGraph:
         """The rational vector-space graph over the red subgraph: tdims as
-        dimensions, identity restrictions exactly where orders make the
-        restriction an isomorphism."""
+        dimensions, identity restrictions exactly at the iso incidences, zero
+        ones elsewhere (the two agree at dimension 0)."""
         spec, red = self.spec, self.red
         vobj = {v: VectorSpace(spec.vertex_tdim[v]) for v in red.vertices}
         eobj = {e: VectorSpace(spec.edge_tdim[e]) for e in red.edges}
         restrictions = {}
         for v, e in red.incidences():
             dv, de = vobj[v].dim, eobj[e].dim
-            if dv == 1 and de == 1:
-                restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], linalg.identity(1), validate=False)
-            else:
-                restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], linalg.zeros(de, dv), validate=False)
+            matrix = linalg.identity(dv) if self.classes[(v, e)] == "iso" else linalg.zeros(de, dv)
+            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], matrix, validate=False)
         gg = GroupGraph(red, "vector", vobj, eobj, restrictions)
         ok, violations = is_regular(gg)
         if not ok:
@@ -487,13 +482,11 @@ def _scan(ctx: Analysis) -> list[dict]:
     return found
 
 
-def _certifies(spec: FoliationSpec, comp: Graph, v: str) -> bool:
+def _certifies(ctx: Analysis, comp: Graph, v: str) -> bool:
     """Rooted at v, every non-root vertex generates its group along the
-    parent edge."""
+    parent edge: its incidence there is iso."""
     return all(
-        spec.vertex_order[n] == spec.edge_holonomy[(n, edge(p, n))]["order"]
-        for n, p in comp.bfs([v]).items()
-        if p is not None
+        ctx.classes[(n, edge(p, n))] == "iso" for n, p in comp.bfs([v]).items() if p is not None
     )
 
 
@@ -599,16 +592,14 @@ def moduli_dimension(spec: FoliationSpec) -> ModuliReport:
 
     active_json = None
     if verdict == "finite":
-        # tf's base is the red forest: one call sums H1 over its trees
-        st, res = regular_h1(tf, crosscheck=False)
+        # one call sums H1 over the red forest's trees and checks it against the rank
+        st, res = regular_h1(tf)
         dim_active = res.dim
-        dim_rank = h1_vector(tf).dim
         dim_contracted = _contracted_rank(tf)
-        if not (dim_active == dim_rank == dim_contracted == len(st.a_prime)):
+        if not (dim_active == dim_contracted == len(st.a_prime)):
             raise VerificationError(
                 "moduli pipelines disagree: "
-                f"active={dim_active} rank={dim_rank} contracted={dim_contracted} "
-                f"basis={len(st.a_prime)}"
+                f"active={dim_active} contracted={dim_contracted} basis={len(st.a_prime)}"
             )
         moduli = dim_active
         basis = [edge_key(e) for e in st.a_prime]

@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .graph import Graph, GraphMorphism, Tree, connected_components, contract, edge, subtree_parents
+from .graph import (
+    Graph, GraphMorphism, Tree, connected_components, contract, edge, edge_key, subtree_parents,
+)
 from .group_graph import (
     FiniteGroup,
     GroupGraph,
@@ -439,10 +441,10 @@ def random_foliation_spec(
                             entry["holonomy"][v] = {
                                 "periodic": True, "order": _proper_divisor(rng, n_v)
                             }
-            spec["edges"][f"{e[0]}#{e[1]}"] = entry
+            spec["edges"][edge_key(e)] = entry
 
     for e in g.sorted_edges():
-        key = f"{e[0]}#{e[1]}"
+        key = edge_key(e)
         if key not in spec["edges"]:
             spec["edges"][key] = {"kind": edge_kinds[e]}
     return spec
@@ -513,5 +515,5 @@ def random_injected_spec(rng: random.Random, gtype: int) -> dict:
         else:
             entry["holonomy"][a] = green_entry(a, iso=bool(rng.getrandbits(1)))
             entry["holonomy"][b] = green_entry(b, iso=bool(rng.getrandbits(1)))
-        spec["edges"][f"{a}#{b}"] = entry
+        spec["edges"][edge_key(e)] = entry
     return spec

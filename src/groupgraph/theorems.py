@@ -111,17 +111,6 @@ def pruning_verify(g: GroupGraph, r, budget: int = DEFAULT_ENUM_BUDGET):
 # quotient isomorphism, with the constructive lift from the inductive proof
 
 
-def _orbit_witnesses(g: GroupGraph, budget: int):
-    """Orbit partition of Z1 with, per tail tuple, a vertex family sending the
-    orbit representative to that tuple (finite carrier)."""
-    reps, class_index, witness = _orbits(g, budget, witnesses=True)
-    vs = g.base.sorted_vertices()
-    return (
-        {t: dict(zip(vs, fam)) for t, fam in witness.items()},
-        {t: reps[c] for t, c in class_index.items()},
-    )
-
-
 def _min_preimages(table, domain) -> dict:
     """Each value of table over domain, mapped to its smallest preimage."""
     out = {}
@@ -139,14 +128,14 @@ def _preimage(preimages: dict, value) -> int:
 
 class _QuotientLift:
     """The constructive lift of the inductive proof, compiled once per
-    (g, k, proj, quotient witness).  Calling it on two cocycles whose
-    projections are cohomologous produces a vertex family (k_v) with (k_v)
-    acting on z giving exactly h.  The induction runs outward from the
-    lexicographically smallest root, each vertex after its parent."""
+    (g, k, proj, quotient witness; see `quotient_lift`).  Calling it on two
+    cocycles whose projections are cohomologous produces a vertex family (k_v)
+    with (k_v) acting on z giving exactly h.  The induction runs outward from
+    the lexicographically smallest root, each vertex after its parent."""
 
     def __init__(self, g: GroupGraph, k: SubGroupGraph, proj: GroupGraphMorphism, quotient_witness):
         self.g, self.k, self.proj = g, k, proj
-        self.witness, self.class_rep = quotient_witness
+        _, self.class_index, self.witness = quotient_witness
         self.vs = g.base.sorted_vertices()
         self.lift_v = {
             v: _min_preimages(proj.maps[v].data, range(g.vobj[v].order)) for v in self.vs
@@ -174,11 +163,12 @@ class _QuotientLift:
         if z.tail not in self.pushed:
             self.pushed[z.tail] = push_cocycle(self.proj, z).tail
         tz, th = self.pushed[z.tail], push_cocycle(self.proj, h).tail
-        if self.class_rep[tz] != self.class_rep[th]:
+        if self.class_index[tz] != self.class_index[th]:
             raise HypothesisViolated("projected cocycles are not cohomologous", [])
-        # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph
+        # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph;
+        # both are families over the sorted vertices, which quo shares with g
         c1, c2 = self.witness[tz], self.witness[th]
-        cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(c1[v]), c2[v]) for v in self.vs}
+        cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(x), y) for v, x, y in zip(self.vs, c1, c2)}
 
         # lift the quotient family and solve for the edge correction in the kernel
         gv = {v: _preimage(self.lift_v[v], cbar[v]) for v in self.vs}
@@ -224,7 +214,9 @@ def quotient_lift(
 ) -> Cochain0:
     """Realize the inductive proof on one pair: produce a vertex family (k_v)
     with (k_v) acting on z giving exactly h, for two cocycles whose
-    projections are cohomologous (see `_QuotientLift`)."""
+    projections are cohomologous.  `quotient_witness` is the (representatives,
+    class index, witness) triple of `_orbits(quotient, budget, witnesses=True)`
+    (see `_QuotientLift`)."""
     return _QuotientLift(g, k, proj, quotient_witness)(z, h)
 
 
@@ -255,7 +247,7 @@ def quotient_iso_verify(
     lifted = 0
     failures = []
     if require_tree:
-        lift = _QuotientLift(g, k, proj, _orbit_witnesses(quo, budget))
+        lift = _QuotientLift(g, k, proj, _orbits(quo, budget, witnesses=True))
         src = mp.source_result
         # every cocycle against its class representative, class by class
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
@@ -301,7 +293,7 @@ def direct_image_verify(
         tgt = mp.target_result
         image_cols = [
             [mp.matrix[i][jcol] for i in range(len(mp.matrix))]
-            for jcol in range(mp.source_result.dim or 0)
+            for jcol in range(mp.source_result.dim)
         ]
         flat_coords = []
         for idx, e in enumerate(edges):
@@ -457,7 +449,7 @@ def _delta_cocycle(g: GroupGraph, st: ActiveStructure, assignment: dict) -> Cocy
 
 
 def regular_h1(
-    g: GroupGraph, crosscheck: bool = True, budget: int = DEFAULT_ENUM_BUDGET
+    g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[ActiveStructure, CohomologyResult]:
     """H1 of a regular group-graph over a forest via the active-edge
     description.  H1 over a forest is the direct sum over its trees, so one
@@ -467,8 +459,9 @@ def regular_h1(
     Vector carrier: dimension is the total dimension over the reduced active
     set; the explicit basis of delta cocycles is built on first read.  Finite
     carrier: the class count is the product of the active-edge group orders.
-    Cross-checked unless disabled: the dimension against linear algebra, the
-    count against the Burnside count of `h1_finite_count`.
+    Every call cross-checks its result, the dimension against the rank of
+    `h1_vector`, the count against the Burnside count of `h1_finite_count`,
+    and raises VerificationError when they disagree.
     """
     ok, violations = is_regular(g)
     if not ok:
@@ -492,12 +485,11 @@ def regular_h1(
             return basis, None
 
         result = CohomologyResult("h1", "vector", dim=dim, _build_bases=bases)
-        if crosscheck:
-            ref = h1_vector(g)
-            if ref.dim != dim:
-                raise VerificationError(
-                    f"active-edge dimension {dim} disagrees with linear algebra {ref.dim}"
-                )
+        ref = h1_vector(g)
+        if ref.dim != dim:
+            raise VerificationError(
+                f"active-edge dimension {dim} disagrees with linear algebra {ref.dim}"
+            )
     else:
         count = 1
         for e in st.a_prime:
@@ -511,12 +503,11 @@ def regular_h1(
         for combo in itertools.product(*(range(g.eobj[e].order) for e in st.a_prime)):
             reps.append(_delta_cocycle(g, st, dict(zip(st.a_prime, combo))))
         result = CohomologyResult("h1", "finite", count=count, representatives=reps)
-        if crosscheck:
-            ref = h1_finite_count(g, budget)
-            if ref != count:
-                raise VerificationError(
-                    f"active-edge count {count} disagrees with the Burnside count {ref}"
-                )
+        ref = h1_finite_count(g, budget)
+        if ref != count:
+            raise VerificationError(
+                f"active-edge count {count} disagrees with the Burnside count {ref}"
+            )
     return st, result
 
 
@@ -530,10 +521,10 @@ def tensor_h1_verify(t: GroupGraph, w_dim: int) -> bool:
     base_res = h1_vector(t)
     tens = tensor(t, VectorSpace(w_dim))
     tens_res = h1_vector(tens)
-    if tens_res.dim != (base_res.dim or 0) * w_dim:
+    if tens_res.dim != base_res.dim * w_dim:
         return False
     coords = []
-    for b in base_res.basis or []:
+    for b in base_res.basis:
         for jcol in range(w_dim):
             tail = []
             for src in b.tail:

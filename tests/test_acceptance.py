@@ -49,7 +49,7 @@ def report(criterion: str, detail: str):
 def test_criterion_1_active_edge_formula_vs_linear_algebra():
     for seed in range(200):
         g = random_regular_vector(random.Random(f"c1:{seed}"), max_vertices=10)
-        _, res = regular_h1(g, crosscheck=False)
+        _, res = regular_h1(g)
         ref = h1_vector(g)
         assert res.dim == ref.dim, f"seed {seed}: {res.dim} != {ref.dim}"
     report("criterion 1", "200 regular vector instances, active-edge dim == rank dim")
@@ -60,7 +60,7 @@ def test_criterion_2_bruteforce_vs_closed_form():
         g = random_regular_finite(
             random.Random(f"c2:{seed}"), max_vertices=6, max_order=8
         )
-        st, res = regular_h1(g, crosscheck=False)
+        st, res = regular_h1(g)
         implied = 1
         for e in st.a_prime:
             implied *= g.eobj[e].order

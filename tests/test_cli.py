@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from groupgraph import cli, cohomology, foliation, theorems
-from groupgraph.generators import random_finite_group_graph, random_regular_finite, random_tree
+from groupgraph.generators import (
+    random_finite_group_graph, random_regular_finite, random_repulsive_instance, random_tree,
+)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -233,6 +235,30 @@ def test_analyze_reports_a_verifier_error_with_exit_five(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_a_rank_disagreement_in_regular_h1_is_a_verifier_failure(monkeypatch, capsys):
+    # regular_h1 always cross-checks against the rank, for analyze and selfcheck alike
+    real = theorems.h1_vector
+
+    def off_by_one(g, *args):
+        res = real(g, *args)
+        res.dim += 1
+        return res
+
+    monkeypatch.setattr(theorems, "h1_vector", off_by_one)
+    code = cli.main(["analyze", "--input", str(FIXTURES / "active_red_segment.json")])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == (
+        "verifier failure: active-edge dimension 1 disagrees with linear algebra 2\n"
+    )
+    assert cli.main(["selfcheck", "--count", "2"]) == 5
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["families"]["regular_vector"] == {"pass": 0, "fail": 2}
+    failing = rep["failing_instance"]
+    assert failing["family"] == "regular_vector"
+    assert failing["error"].startswith("active-edge dimension ")
+
+
 def test_cohomology_reports_a_verifier_error_with_exit_five(monkeypatch, capsys, tmp_path):
     path = write_json(tmp_path / "gg.json", finite_gg_json())
     monkeypatch.setattr(theorems, "h1_finite_count", lambda g, budget: -1)
@@ -268,6 +294,17 @@ def test_regular_finite_check_enumerates_no_cocycles(monkeypatch):
     assert calls == []
     cohomology.h1_finite_bruteforce(random_regular_finite(cli._rng(0, "regular_finite", 0)))
     assert len(calls) == 1  # the guard sees an enumeration
+
+
+@pytest.mark.parametrize("carrier", ["vector", "finite"])
+def test_pruning_negative_check_fails_on_a_repulsive_instance(monkeypatch, carrier):
+    # pruning_verify alone tells the control apart: it accepts a repulsive subtree
+    monkeypatch.setattr(
+        cli, "random_nonrepulsive_instance",
+        lambda rng, max_vertices: random_repulsive_instance(rng, carrier, max_vertices),
+    )
+    for i in range(10):
+        assert not cli._check_pruning_negative(cli._rng(0, "pruning_negative", i), 10**6), i
 
 
 def test_cohomology_budget_exceeded_exits_four(tmp_path):

@@ -55,6 +55,7 @@ from groupgraph.cohomology import (
     coboundary_action,
     h0,
     h0_finite_count,
+    h1_auto,
     h1_class_coordinates,
     h1_class_of,
     h1_finite_bruteforce,
@@ -63,7 +64,7 @@ from groupgraph.cohomology import (
     h1_vector,
     push_cocycle,
 )
-from groupgraph.theorems import _orbit_witnesses, regular_h1
+from groupgraph.theorems import regular_h1
 
 
 def seg_gg_finite(va, vb, e, hom_a=None, hom_b=None):
@@ -347,7 +348,7 @@ def test_budgets_checked_before_any_cocycle_is_enumerated(monkeypatch):
     with pytest.raises(BudgetExceeded, match="Z1 enumeration of 16 cocycles"):
         h1_finite_bruteforce(both_over, budget=10)
     with pytest.raises(BudgetExceeded, match="C0 of size 64"):
-        _orbit_witnesses(small_z1, 10)
+        cohomology._orbits(small_z1, 10, witnesses=True)
 
 
 def test_abelian_count_is_z1_over_image():
@@ -623,7 +624,11 @@ def test_orbit_enumerator_matches_slow_oracle():
         assert res.count == len(reps)
         assert [r.tail for r in res.representatives] == reps
         assert list(res._class_index.items()) == list(class_index.items())
-        witness, class_rep = _orbit_witnesses(gg, 10**6)
+        # the witness triple in the oracle's form: per tuple, a vertex dict and its representative
+        w_reps, w_index, fams = cohomology._orbits(gg, 10**6, witnesses=True)
+        vs = gg.base.sorted_vertices()
+        witness = {t: dict(zip(vs, fam)) for t, fam in fams.items()}
+        class_rep = {t: w_reps[c] for t, c in w_index.items()}
         assert (witness, class_rep) == oracle_witnesses(gg)
         for t, fam in witness.items():
             assert _act_tail(gg, fam, class_rep[t]) == t
@@ -954,7 +959,7 @@ def test_class_coordinates_reduce_with_one_rref_per_result(monkeypatch):
 def test_class_coordinates_need_coboundary_data():
     # the active-edge result of regular_h1 carries a basis but no B1 basis
     g = random_regular_vector(random.Random(0))
-    _, res = regular_h1(g, crosscheck=False)
+    _, res = regular_h1(g)
     assert res._im_basis is None
     with pytest.raises(GroupGraphError, match="no coboundary data"):
         h1_class_coordinates(res, trivial_cocycle(g))
@@ -973,9 +978,13 @@ def test_h1_map_identity():
 def test_h1_map_budgets_the_vector_bases():
     # 0-dim vertices and a 50-dim edge: each side's H1 basis is 50 x 50
     gg = vector_gg(["a", "b"], [("a", "b")], {"a": 0, "b": 0}, {("a", "b"): 50})
-    with pytest.raises(BudgetExceeded, match="H1 basis: 2500 dense matrix cells exceed budget 10"):
+    over = "H1 basis: 2500 dense matrix cells exceed budget 10"
+    with pytest.raises(BudgetExceeded, match=over):
         h1_map(identity_morphism(gg), budget=10)
+    with pytest.raises(BudgetExceeded, match=over):
+        h1_auto(gg, budget=10).basis
     assert h1_map(identity_morphism(gg), budget=2500).is_bijective()
+    assert len(h1_auto(gg, budget=2500).basis) == 50
 
 
 def test_h1_map_to_trivial_target():

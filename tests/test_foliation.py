@@ -580,7 +580,7 @@ def test_red_parent_map_and_certificates_match_oracles_on_generated_specs():
             check_tree_paths(comp)
             if not red.vertices:
                 for v in comp.sorted_vertices():
-                    assert _certifies(spec, comp, v) == oracle_certifies(spec, comp, v)
+                    assert _certifies(ctx, comp, v) == oracle_certifies(spec, comp, v)
                     certified += 1
             elif len(connected_components(red)) == 1:
                 greens += check_red_parent_map(comp, red.vertices)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupgraph import _jsontext, cli, foliation, theorems
+from groupgraph import _jsontext, cli, foliation, linalg, theorems
 from groupgraph.foliation import FoliationSpec
 from groupgraph.generators import (
     random_finite_group_graph,
@@ -211,6 +211,19 @@ def test_one_active_structure_for_several_red_components(monkeypatch):
             assert len(calls) == 1, seed
             parts.append(len(foliation.connected_components(foliation.analyze(spec).red)))
     assert sum(k > 1 for k in parts) >= 10 and 1 in parts, parts
+
+
+@pytest.mark.parametrize(
+    "name,ranks", [("active_red_segment", 1), ("star_vertex", 1), ("type4_two_reds", 0)]
+)
+def test_one_cochain_rank_per_finite_analysis(monkeypatch, name, ranks):
+    # regular_h1's cross-check is the moduli pipeline's only rank computation
+    calls = []
+    real = linalg.sparse_rank
+    monkeypatch.setattr(linalg, "sparse_rank", lambda rows: calls.append(rows) or real(rows))
+    spec = FoliationSpec.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    assert foliation.moduli_dimension(spec).finite_type == ("finite" if ranks else "not-finite")
+    assert len(calls) == ranks
 
 
 def test_regularity_is_checked_once_per_restriction(monkeypatch):

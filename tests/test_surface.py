@@ -54,7 +54,7 @@ from groupgraph.generators import (
     random_tree,
     random_vector_group_graph,
 )
-from groupgraph.theorems import _orbit_witnesses
+from groupgraph.cohomology import _orbits
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "groupgraph"
@@ -313,7 +313,7 @@ def _api_roots():
     quo, proj = quotient_with_projection(g, k)
     z = h1_finite_bruteforce(g).representatives[-1]
     h = coboundary_action(Cochain0(g, {v: o.order - 1 for v, o in g.vobj.items()}), z, g)
-    lift = quotient_lift(g, k, proj, z, h, _orbit_witnesses(quo, 10**6))
+    lift = quotient_lift(g, k, proj, z, h, _orbits(quo, 10**6, witnesses=True))
     assert coboundary_action(lift, z, g).tail == h.tail
 
 

@@ -36,6 +36,7 @@ from groupgraph.cohomology import (
     h1_finite_bruteforce,
     h1_vector,
     push_cocycle,
+    _orbits,
 )
 from groupgraph.theorems import (
     HypothesisViolated,
@@ -51,7 +52,6 @@ from groupgraph.theorems import (
     regular_h1,
     restrict,
     tensor_h1_verify,
-    _orbit_witnesses,
     _QuotientLift,
 )
 from groupgraph.generators import (
@@ -274,7 +274,7 @@ def test_quotient_iso_random_instances():
 def test_constructive_lift_yields_trivializing_cochain():
     gg, k = z4_mod_2z4_segment()
     quo, proj = quotient_with_projection(gg, k)
-    witnesses = _orbit_witnesses(quo, 10**6)
+    witnesses = _orbits(quo, 10**6, witnesses=True)
     res = h1_finite_bruteforce(gg)
     e = ("a", "b")
     rep = res.representatives[0]
@@ -310,12 +310,12 @@ def oracle_quotient_lift(g, k, proj, z, h, quotient_witness):
 
     pz = push_cocycle(proj, z)
     ph = push_cocycle(proj, h)
-    witness, class_rep = quotient_witness
+    _, class_index, witness = quotient_witness
     tz, th = pz.tail, ph.tail
-    if class_rep[tz] != class_rep[th]:
+    if class_index[tz] != class_index[th]:
         raise HypothesisViolated("projected cocycles are not cohomologous", [])
-    c1, c2 = witness[tz], witness[th]
-    cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(c1[v]), c2[v]) for v in vs}
+    c1, c2 = witness[tz], witness[th]  # families over the sorted vertices
+    cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(c1[i]), c2[i]) for i, v in enumerate(vs)}
     gv = {v: _min_preimage(proj.maps[v].data, cbar[v]) for v in vs}
 
     root = min(vs)
@@ -376,7 +376,7 @@ def test_compiled_lift_matches_the_oracle():
     pairs = rejected = 0
     for g, k in _lift_instances():
         quo, proj = quotient_with_projection(g, k)
-        qw = _orbit_witnesses(quo, 10**6)
+        qw = _orbits(quo, 10**6, witnesses=True)
         lift = _QuotientLift(g, k, proj, qw)
         src = h1_finite_bruteforce(g)
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
@@ -577,14 +577,14 @@ def test_regular_h1_on_a_cyclic_base_raises(obj):
 def test_regular_h1_matches_linear_algebra_randomly():
     for seed in range(25):
         g = random_regular_vector(random.Random(seed), max_vertices=8)
-        st, res = regular_h1(g, crosscheck=False)
+        st, res = regular_h1(g)
         assert res.dim == h1_vector(g).dim, seed
 
 
 def test_regular_h1_matches_bruteforce_randomly():
     for seed in range(15):
         g = random_regular_finite(random.Random(seed), max_vertices=5)
-        st, res = regular_h1(g, crosscheck=False)
+        st, res = regular_h1(g)
         expected = 1
         for e in st.a_prime:
             expected *= g.eobj[e].order
@@ -597,7 +597,7 @@ def test_delta_images_are_pairwise_non_cohomologous():
         {"a": trivial_group(), "b": trivial_group(), "c": trivial_group()},
         {("a", "b"): cyclic_group(2), ("b", "c"): cyclic_group(3)},
     )
-    st, res = regular_h1(gg, crosscheck=False)
+    st, res = regular_h1(gg)
     ref = h1_finite_bruteforce(gg)
     classes = [h1_class_of(ref, rep) for rep in res.representatives]
     assert len(set(classes)) == len(classes) == res.count
@@ -609,13 +609,13 @@ def test_choice_independence_of_dimensions():
     differs = 0
     for seed in range(200):
         g = random_regular_vector(random.Random(400 + seed), max_vertices=9)
-        st, res = regular_h1(g, crosscheck=False)
+        st, res = regular_h1(g)
         last = reversed_a_prime(g, st)
         assert res.dim == sum(g.eobj[e].dim for e in last), seed
         differs += last != st.a_prime
     for seed in range(200):
         g = random_regular_finite(random.Random(500 + seed), max_vertices=5)
-        st, res = regular_h1(g, crosscheck=False)
+        st, res = regular_h1(g)
         last = reversed_a_prime(g, st)
         assert res.count == math.prod(g.eobj[e].order for e in last), seed
         differs += last != st.a_prime
@@ -672,7 +672,7 @@ def test_equidimensional_closed_form():
         rng = random.Random(600 + seed)
         d = rng.choice([1, 2])
         g = random_regular_vector(rng, max_vertices=7, dims=(0, d))
-        st, res = regular_h1(g, crosscheck=False)
+        st, res = regular_h1(g)
         dims = {g.obj(s).dim for s in support(g)}
         if len(dims) != 1:
             continue  # empty or mixed support: no common dimension
