@@ -243,7 +243,7 @@ def _check_direct_image(rng, budget):
 
 def _check_tensor(rng, budget):
     t = random_vector_group_graph(rng, random_tree(rng, rng.randint(2, 6)))
-    return tensor_h1_verify(t, rng.choice([0, 1, 2, 3]))
+    return tensor_h1_verify(t, rng.choice([0, 1, 2, 3]), budget)
 
 
 def _check_moduli_triple(rng, budget):

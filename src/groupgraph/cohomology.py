@@ -248,17 +248,44 @@ def h1_class_coordinates(result: CohomologyResult, z: Cocycle1) -> list[Fraction
     return [vec[i] for i in free]
 
 
+def _generators(grp) -> list[int]:
+    """A generating set of a finite group, chosen greedily: each element, in
+    index order, that the subgroup generated by the earlier picks does not
+    contain.  Each pick at least doubles that subgroup, so there are at most
+    log2 of the order of them."""
+    gens: list[int] = []
+    sub = {0}
+    for x in range(1, grp.order):
+        if x in sub:
+            continue
+        gens.append(x)
+        stack = list(sub)
+        while stack:
+            y = stack.pop()
+            for s in gens:
+                z = grp.table[y][s]
+                if z not in sub:
+                    sub.add(z)
+                    stack.append(z)
+    return gens
+
+
 def _orbits(g: GroupGraph, budget: int, witnesses: bool = False):
     """Partition Z1 (as tail tuples) into orbits of the vertex-family action.
 
-    Both budgets are checked from their product sizes before any tuple is
-    built.  Z1 is walked lazily in `itertools.product` order, which is
+    The budget bounds |Z1|, checked from its product size before any tuple
+    is built; the walk costs |Z1| times the number of moves and never builds
+    C0.  Z1 is walked lazily in `itertools.product` order, which is
     lexicographic, so the first unseen tuple of an orbit is its minimum: it is
     the representative, the trivial tuple is class 0, and representatives
-    arrive sorted.  Each orbit is explored from it with single-vertex moves
-    (v, x), which generate the acting group, in a LIFO queue.  A move is
-    compiled once into (edge index, permutation of G_e) over the edges at v:
-    t -> rho_v(x)^-1 t where v is the tail, t -> t rho_v(x) where v is the head.
+    arrive sorted.  Each orbit is explored from it in a LIFO queue with
+    single-vertex moves (v, x) for x in `_generators(G_v)`: the orbits of a
+    finite group are those of any generating set (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.1), so which moves reach
+    a tuple changes none of the outputs, only the witness recorded for it.
+    A move is compiled once into (edge index, permutation of G_e) over the
+    edges at v: t -> rho_v(x)^-1 t where v is the tail, t -> t rho_v(x) where
+    v is the head.
 
     Returns (representatives, class index of every tuple, witness); with
     `witnesses`, witness[t] is a family over the sorted vertices sending the
@@ -272,17 +299,11 @@ def _orbits(g: GroupGraph, budget: int, witnesses: bool = False):
             f"Z1 enumeration of {z1_size} cocycles exceeds budget {budget}",
             {"candidates": z1_size, "budget": budget},
         )
-    c0_size = math.prod(g.vobj[v].order for v in vs)
-    if c0_size > budget:
-        raise BudgetExceeded(
-            f"C0 of size {c0_size} exceeds budget {budget}",
-            {"candidates": c0_size, "budget": budget},
-        )
     moves = []
     for vi, v in enumerate(vs):
         table = g.vobj[v].table
         incident = [(i, e) for i, e in enumerate(edges) if v in e]
-        for x in range(1, len(table)):
+        for x in _generators(g.vobj[v]):
             patches = []
             for i, e in incident:
                 grp = g.eobj[e]
@@ -484,22 +505,20 @@ def h1_class_of(result: CohomologyResult, z: Cocycle1) -> int:
 
 
 def push_cocycle(m: GroupGraphMorphism, z: Cocycle1) -> Cocycle1:
-    """Push a cocycle on the source through the morphism; collapsed edges get 1.
+    """Push a cocycle on the source through the morphism along its
+    `push_plan`; collapsed edges get 1.
 
     The tail value of an edge (a, b) is the image of the source value at the
     incidence (over(a), over(e)): the tail value there, or its inverse."""
-    g, g2 = m.source, m.target
-    pos = {e: i for i, e in enumerate(g.base.sorted_edges())}
+    g2 = m.target
     tail = []
-    for e in g2.base.sorted_edges():
-        img_e = m.over.apply_edge(e)
-        if isinstance(img_e, str):
+    for e, step in zip(g2.base.sorted_edges(), m.push_plan):
+        if step is None:
             tail.append(g2.eobj[e].identity())
             continue
-        x = z.tail[pos[img_e]]
-        if m.over.apply(e[0]) != img_e[0]:
-            x = g.eobj[img_e].inv(x)
-        tail.append(m.maps[e].apply(x))
+        i, flip, hom = step
+        x = z.tail[i]
+        tail.append(hom.apply(hom.source.inv(x) if flip else x))
     return Cocycle1(g2, tail)
 
 

@@ -545,6 +545,23 @@ class GroupGraphMorphism:
     def is_over_identity(self) -> bool:
         return self.over.is_identity()
 
+    @cached_property
+    def push_plan(self) -> list[tuple[int, bool, GroupHom] | None]:
+        """How a cocycle tail is pushed to the target, per edge e of the
+        target's sorted edges: None where `over` collapses e (the identity is
+        pushed), else the position of over(e) among the source's sorted
+        edges, whether over(e)'s tail is the image of e's head (the value is
+        inverted first), and the edge map."""
+        pos = {e: i for i, e in enumerate(self.source.base.sorted_edges())}
+        plan = []
+        for e in self.target.base.sorted_edges():
+            img = self.over.apply_edge(e)
+            if isinstance(img, str):
+                plan.append(None)
+            else:
+                plan.append((pos[img], self.over.apply(e[0]) != img[0], self.maps[e]))
+        return plan
+
 
 # ---------------------------------------------------------------------------
 # operations

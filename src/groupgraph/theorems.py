@@ -24,7 +24,6 @@ from .cohomology import (
     h1_finite_count,
     h1_map,
     h1_vector,
-    push_cocycle,
 )
 from .graph import (
     Edge, Graph, GraphError, GraphMorphism, Tree, connected_components, contract, edge_key,
@@ -126,80 +125,112 @@ def _preimage(preimages: dict, value) -> int:
         raise VerificationError("no preimage found where one must exist") from None
 
 
+def _inverses(grp) -> tuple[int, ...]:
+    return tuple(map(grp.inv, range(grp.order)))
+
+
 class _QuotientLift:
     """The constructive lift of the inductive proof, compiled once per
     (g, k, proj, quotient witness; see `quotient_lift`).  Calling it on two
     cocycles whose projections are cohomologous produces a vertex family (k_v)
     with (k_v) acting on z giving exactly h.  The induction runs outward from
-    the lexicographically smallest root, each vertex after its parent."""
+    the lexicographically smallest root, each vertex after its parent.  Every
+    group operation of a call is a lookup in a Cayley table or an inverse
+    tuple, and vertices are addressed by their sorted position."""
 
     def __init__(self, g: GroupGraph, k: SubGroupGraph, proj: GroupGraphMorphism, quotient_witness):
-        self.g, self.k, self.proj = g, k, proj
+        self.g = g
         _, self.class_index, self.witness = quotient_witness
         self.vs = g.base.sorted_vertices()
-        self.lift_v = {
-            v: _min_preimages(proj.maps[v].data, range(g.vobj[v].order)) for v in self.vs
-        }
+        quo = proj.target
+        # per vertex: the quotient's table and inverses, g's table, and the
+        # smallest preimage of each quotient value under the projection
+        self.vertices = [
+            (
+                quo.vobj[v].table, _inverses(quo.vobj[v]), g.vobj[v].table,
+                _min_preimages(proj.maps[v].data, range(g.vobj[v].order)),
+            )
+            for v in self.vs
+        ]
+        # the projection's push plan, per quotient edge: None (collapsed),
+        # else (source position, inverses when flipped or None, edge map)
+        self.push = [
+            None if step is None
+            else (step[0], _inverses(step[2].source) if step[1] else None, step[2].data)
+            for step in proj.push_plan
+        ]
         # the induction needs unique parent edges; visit order is parent-first
-        self.root = min(self.vs)
-        parent = subtree_parents(Tree(g.base), {self.root})
-        # per edge, in tail order: its parent end v, its child end w, rho_v, rho_w
+        vpos = {v: i for i, v in enumerate(self.vs)}
+        parent = subtree_parents(Tree(g.base), {min(self.vs)})
+        # per edge, in tail order: its table and inverses, whether the parent
+        # end is the head, rho at the parent end v and at the child end w, the
+        # positions of v and w, and the kernel k_e
         self.edges = []
         for e in g.base.sorted_edges():
             v, w = e if parent[e[1]] == e[0] else e[::-1]
-            self.edges.append((e, v, w, g.restriction(v, e).data, g.restriction(w, e).data))
-        pos = {e: i for i, (e, *_) in enumerate(self.edges)}
-        # per non-root vertex w, in visit order: its parent, the index of the
-        # edge between them, and the smallest preimage in k_w of each rho_w value
+            grp = g.eobj[e]
+            self.edges.append((
+                grp.table, _inverses(grp), v != e[0], g.restriction(v, e).data,
+                g.restriction(w, e).data, vpos[v], vpos[w], k.subs[e],
+            ))
+        pos = {e: i for i, e in enumerate(g.base.sorted_edges())}
+        # per non-root vertex w, in visit order: its position, its parent's,
+        # the index of the edge between them, and the smallest preimage in
+        # k_w of each rho_w value
         self.steps = []
         for w, par in parent.items():
             if par is not None:
                 i = pos[(min(par, w), max(par, w))]
-                self.steps.append((w, par, i, _min_preimages(self.edges[i][4], k.subs[w])))
-        self.pushed = {}  # pushed tails of the z seen so far: the class representatives
+                self.steps.append(
+                    (vpos[w], vpos[par], i, _min_preimages(self.edges[i][4], k.subs[w]))
+                )
+
+    def _project(self, tail) -> tuple:
+        out = []
+        for step in self.push:
+            if step is None:
+                out.append(0)
+                continue
+            i, inv, data = step
+            out.append(data[tail[i] if inv is None else inv[tail[i]]])
+        return tuple(out)
 
     def __call__(self, z: Cocycle1, h: Cocycle1) -> Cochain0:
-        g, quo = self.g, self.proj.target
-        if z.tail not in self.pushed:
-            self.pushed[z.tail] = push_cocycle(self.proj, z).tail
-        tz, th = self.pushed[z.tail], push_cocycle(self.proj, h).tail
+        tz, th = self._project(z.tail), self._project(h.tail)
         if self.class_index[tz] != self.class_index[th]:
             raise HypothesisViolated("projected cocycles are not cohomologous", [])
         # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph;
-        # both are families over the sorted vertices, which quo shares with g
-        c1, c2 = self.witness[tz], self.witness[th]
-        cbar = {v: quo.vobj[v].mul(quo.vobj[v].inv(x), y) for v, x, y in zip(self.vs, c1, c2)}
+        # both are families over the sorted vertices, which quo shares with g;
+        # lift that quotient family
+        gv = [
+            _preimage(lift, qt[qinv[x]][y])
+            for (qt, qinv, _, lift), x, y in zip(self.vertices, self.witness[tz], self.witness[th])
+        ]
 
-        # lift the quotient family and solve for the edge correction in the kernel
-        gv = {v: _preimage(self.lift_v[v], cbar[v]) for v in self.vs}
+        # solve for the edge correction in the kernel
         zv, ge = [], []  # per edge: z at its parent end, and the correction
-        for (e, v, w, rho_v, rho_w), zx, hx in zip(self.edges, z.tail, h.tail):
-            grp = g.eobj[e]
-            if v != e[0]:  # the values at the parent end
-                zx, hx = grp.inv(zx), grp.inv(hx)
-            expr = grp.mul(grp.mul(grp.inv(rho_v[gv[v]]), zx), rho_w[gv[w]])
+        for (t, inv, flip, rho_v, rho_w, v, w, kern), zx, hx in zip(self.edges, z.tail, h.tail):
+            if flip:  # the values at the parent end
+                zx, hx = inv[zx], inv[hx]
+            expr = t[t[inv[rho_v[gv[v]]]][zx]][rho_w[gv[w]]]
             zv.append(zx)
-            ge.append(grp.mul(grp.inv(expr), hx))
-            if ge[-1] not in self.k.subs[e]:
+            ge.append(t[inv[expr]][hx])
+            if ge[-1] not in kern:
                 raise VerificationError("edge correction left the kernel sub-group-graph")
 
-        kv = {self.root: gv[self.root]}
-        fprime = {self.root: 0}
+        kv = list(gv)  # the root keeps its lift; every other vertex is set below
+        fprime = [0] * len(gv)
         for w, par, i, kernel_preimage in self.steps:
-            e_w, _, _, rho_par, rho_w = self.edges[i]
-            grp_e, grp_w = g.eobj[e_w], g.vobj[w]
+            t, inv, _, rho_par, rho_w = self.edges[i][:5]
+            tw = self.vertices[w][2]
             gprime_w = _preimage(kernel_preimage, ge[i])
-            gg = grp_e.mul(
-                grp_e.mul(grp_e.inv(rho_par[kv[par]]), zv[i]),
-                rho_w[grp_w.mul(gv[w], gprime_w)],
-            )
-            tilde = grp_e.mul(grp_e.mul(grp_e.inv(gg), rho_par[fprime[par]]), gg)
-            fprime[w] = grp_w.mul(gprime_w, _preimage(kernel_preimage, tilde))
-            kv[w] = grp_w.mul(gv[w], fprime[w])
+            gg = t[t[inv[rho_par[kv[par]]]][zv[i]]][rho_w[tw[gv[w]][gprime_w]]]
+            tilde = t[t[inv[gg]][rho_par[fprime[par]]]][gg]
+            fprime[w] = tw[gprime_w][_preimage(kernel_preimage, tilde)]
+            kv[w] = tw[gv[w]][fprime[w]]
 
-        cochain = Cochain0(g, kv)
-        acted = coboundary_action(cochain, z, g)
-        if acted.tail != h.tail:
+        cochain = Cochain0(self.g, dict(zip(self.vs, kv)))
+        if coboundary_action(cochain, z, self.g).tail != h.tail:
             raise VerificationError("constructive lift failed to trivialize the pair")
         return cochain
 
@@ -515,12 +546,12 @@ def regular_h1(
 # tensor
 
 
-def tensor_h1_verify(t: GroupGraph, w_dim: int) -> bool:
+def tensor_h1_verify(t: GroupGraph, w_dim: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     """dim H1(T tensor W) must factor as dim H1(T) * dim W, with the basis
-    correspondence realized explicitly."""
-    base_res = h1_vector(t)
+    correspondence realized explicitly; both bases are built under `budget`."""
+    base_res = h1_vector(t, budget)
     tens = tensor(t, VectorSpace(w_dim))
-    tens_res = h1_vector(tens)
+    tens_res = h1_vector(tens, budget)
     if tens_res.dim != base_res.dim * w_dim:
         return False
     coords = []

@@ -1,3 +1,4 @@
+import itertools
 
 from dataclasses import dataclass
 
@@ -169,6 +170,60 @@ def finite_gg(vertices, edges, vgroups, egroups, homs=None):
         else:
             restrictions[key] = GroupHom.trivial(vobj[v], eobj[e])
     return GroupGraph(g, "finite", vobj, eobj, restrictions)
+
+
+def act_tail(g, fam, tail):
+    """Action of a vertex family on a tail tuple, every edge rebuilt."""
+    out = []
+    for idx, e in enumerate(g.base.sorted_edges()):
+        a, b = e
+        grp = g.eobj[e]
+        ra = g.restriction(a, e).apply(fam[a])
+        rb = g.restriction(b, e).apply(fam[b])
+        out.append(grp.mul(grp.mul(grp.inv(ra), tail[idx]), rb))
+    return tuple(out)
+
+
+def single_moves(g):
+    """Every family with one non-identity value: the all-element move set."""
+    vs = g.base.sorted_vertices()
+    for v in vs:
+        for x in range(1, g.vobj[v].order):
+            fam = {u: 0 for u in vs}
+            fam[v] = x
+            yield fam
+
+
+def oracle_h1(g):
+    """The slow orbit search: materialize Z1, collect each orbit's members,
+    take their minima and renumber with the privileged class first.
+    Returns (representative tuples, class index)."""
+    edges = g.base.sorted_edges()
+    all_tails = list(itertools.product(*(range(g.eobj[e].order) for e in edges)))
+    moves = list(single_moves(g))
+    seen = {}
+    orbits = []
+    for start in all_tails:
+        if start in seen:
+            continue
+        cls = len(orbits)
+        queue = [start]
+        seen[start] = cls
+        members = [start]
+        while queue:
+            cur = queue.pop()
+            for fam in moves:
+                nxt = act_tail(g, fam, cur)
+                if nxt not in seen:
+                    seen[nxt] = cls
+                    members.append(nxt)
+                    queue.append(nxt)
+        orbits.append(members)
+    reps = [min(members) for members in orbits]
+    trivial = tuple(0 for _ in edges)
+    order = sorted(range(len(reps)), key=lambda i: (reps[i] != reps[seen[trivial]], reps[i]))
+    renum = {old: new for new, old in enumerate(order)}
+    return [reps[i] for i in order], {t: renum[c] for t, c in seen.items()}
 
 
 def dense_rref(m):

@@ -12,6 +12,7 @@ from groupgraph import cli, cohomology, foliation, theorems
 from groupgraph.generators import (
     random_finite_group_graph, random_regular_finite, random_repulsive_instance, random_tree,
 )
+from groupgraph.group_graph import BudgetExceeded
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -294,6 +295,13 @@ def test_regular_finite_check_enumerates_no_cocycles(monkeypatch):
     assert calls == []
     cohomology.h1_finite_bruteforce(random_regular_finite(cli._rng(0, "regular_finite", 0)))
     assert len(calls) == 1  # the guard sees an enumeration
+
+
+def test_tensor_check_builds_its_bases_under_the_budget():
+    # the instance's base H1 basis alone needs 21 dense cells
+    with pytest.raises(BudgetExceeded, match="H1 basis: 21 dense matrix cells exceed budget 1"):
+        cli._check_tensor(cli._rng(0, "tensor", 0), 1)
+    assert cli._check_tensor(cli._rng(0, "tensor", 0), 10**4)
 
 
 @pytest.mark.parametrize("carrier", ["vector", "finite"])

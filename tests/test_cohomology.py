@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    act_tail,
     cochain_from_json,
     cocycle_from_json,
     compose_morphisms,
@@ -14,6 +16,7 @@ from conftest import (
     identity_morphism,
     is_abelian,
     is_trivial_cocycle,
+    oracle_h1,
     rank_mod_p,
     trivial_cocycle,
     vector_gg,
@@ -43,6 +46,7 @@ from groupgraph.group_graph import (
     cyclic_group,
     dihedral_group,
     direct_image,
+    direct_product_group,
     pullback,
     quotient_with_projection,
     remove_offsupport_edges,
@@ -335,20 +339,66 @@ def test_privileged_class_first():
 
 
 def test_budgets_checked_before_any_cocycle_is_enumerated(monkeypatch):
+    z8 = cyclic_group(8)
+    # only |Z1| is budgeted: the walk never builds C0, so |C0| = 64 > 10 is no refusal
+    small_z1 = seg_gg_finite(z8, z8, trivial_group())  # |Z1| = 1
+    assert h1_finite_bruteforce(small_z1, budget=10).count == 1
+
     def no_enumeration(*args):
-        raise AssertionError("Z1 enumerated before both budgets were checked")
+        raise AssertionError("Z1 enumerated before its budget was checked")
 
     monkeypatch.setattr(itertools, "product", no_enumeration)
-    z8 = cyclic_group(8)
-    small_z1 = seg_gg_finite(z8, z8, trivial_group())  # |Z1| = 1, |C0| = 64
-    with pytest.raises(BudgetExceeded, match="C0 of size 64") as exc:
-        h1_finite_bruteforce(small_z1, budget=10)
-    assert exc.value.sizes == {"candidates": 64, "budget": 10}
-    both_over = seg_gg_finite(z8, z8, cyclic_group(16))  # |Z1| = 16, |C0| = 64
+    over = seg_gg_finite(z8, z8, cyclic_group(16))  # |Z1| = 16
+    with pytest.raises(BudgetExceeded, match="Z1 enumeration of 16 cocycles") as exc:
+        h1_finite_bruteforce(over, budget=10)
+    assert exc.value.sizes == {"candidates": 16, "budget": 10}
     with pytest.raises(BudgetExceeded, match="Z1 enumeration of 16 cocycles"):
-        h1_finite_bruteforce(both_over, budget=10)
-    with pytest.raises(BudgetExceeded, match="C0 of size 64"):
-        cohomology._orbits(small_z1, 10, witnesses=True)
+        cohomology._orbits(over, 10, witnesses=True)
+
+
+def test_orbit_walk_is_not_refused_for_the_size_of_c0():
+    # a Z20 centre with 8 Z20 leaves over Z2 edges, x -> x mod 2 at both ends:
+    # |Z1| = 2^8 = 256 but |C0| = 20^9, far over the default budget
+    z20, z2 = cyclic_group(20), cyclic_group(2)
+    leaves = [f"l{i}" for i in range(8)]
+    edges = [("c", leaf) for leaf in leaves]
+    mod2 = tuple(x % 2 for x in range(20))
+    gg = finite_gg(
+        ["c", *leaves], edges, {v: z20 for v in ["c", *leaves]}, {e: z2 for e in edges},
+        {(v, e): mod2 for e in edges for v in e},
+    )
+    assert h1_finite_count(gg) == 1
+    res = h1_finite_bruteforce(gg)
+    assert res.count == 1 and len(res._class_index) == 256
+
+
+def _generator_groups():
+    yield from group_pool()
+    for n in range(3, 7):
+        yield f"D{n}", dihedral_group(n)
+    pool = [grp for _, grp in group_pool()] + [dihedral_group(n) for n in (5, 6)]
+    for k in (2, 3):
+        for factors in itertools.combinations_with_replacement(pool, k):
+            if math.prod(f.order for f in factors) <= 128:  # far inside the table budget
+                yield "product", direct_product_group(list(factors))[0]
+
+
+def test_generating_sets_generate_with_at_most_log2_elements():
+    checked = 0
+    for name, grp in _generator_groups():
+        gens = cohomology._generators(grp)
+        assert gens == sorted(set(gens)) and 0 not in gens, name
+        sub, stack = {0}, [0]
+        while stack:
+            y = stack.pop()
+            for s in gens:
+                if grp.mul(y, s) not in sub:
+                    sub.add(grp.mul(y, s))
+                    stack.append(grp.mul(y, s))
+        assert len(sub) == grp.order, name
+        assert len(gens) <= grp.order.bit_length() - 1, name  # floor(log2 order)
+        checked += 1
+    assert checked >= 200
 
 
 def test_abelian_count_is_z1_over_image():
@@ -479,84 +529,6 @@ def test_coboundary_squared_is_zero():
 # --- H1, finite: the orbit enumerator against the slow oracle ------------------------
 
 
-def _act_tail(g, fam, tail):
-    """Action of a vertex family on a tail tuple, every edge rebuilt."""
-    out = []
-    for idx, e in enumerate(g.base.sorted_edges()):
-        a, b = e
-        grp = g.eobj[e]
-        ra = g.restriction(a, e).apply(fam[a])
-        rb = g.restriction(b, e).apply(fam[b])
-        out.append(grp.mul(grp.mul(grp.inv(ra), tail[idx]), rb))
-    return tuple(out)
-
-
-def _single_moves(g):
-    vs = g.base.sorted_vertices()
-    for v in vs:
-        for x in range(1, g.vobj[v].order):
-            fam = {u: 0 for u in vs}
-            fam[v] = x
-            yield fam
-
-
-def oracle_h1(g):
-    """The slow orbit search: materialize Z1, collect each orbit's members,
-    take their minima and renumber with the privileged class first.
-    Returns (representative tuples, class index)."""
-    edges = g.base.sorted_edges()
-    all_tails = list(itertools.product(*(range(g.eobj[e].order) for e in edges)))
-    moves = list(_single_moves(g))
-    seen = {}
-    orbits = []
-    for start in all_tails:
-        if start in seen:
-            continue
-        cls = len(orbits)
-        queue = [start]
-        seen[start] = cls
-        members = [start]
-        while queue:
-            cur = queue.pop()
-            for fam in moves:
-                nxt = _act_tail(g, fam, cur)
-                if nxt not in seen:
-                    seen[nxt] = cls
-                    members.append(nxt)
-                    queue.append(nxt)
-        orbits.append(members)
-    reps = [min(members) for members in orbits]
-    trivial = tuple(0 for _ in edges)
-    order = sorted(range(len(reps)), key=lambda i: (reps[i] != reps[seen[trivial]], reps[i]))
-    renum = {old: new for new, old in enumerate(order)}
-    return [reps[i] for i in order], {t: renum[c] for t, c in seen.items()}
-
-
-def oracle_witnesses(g):
-    """The slow orbit search over sorted Z1, recording per tuple a vertex
-    family that sends the orbit's first tuple to it.  Returns (witness, class_rep)."""
-    edges = g.base.sorted_edges()
-    vs = g.base.sorted_vertices()
-    all_tails = list(itertools.product(*(range(g.eobj[e].order) for e in edges)))
-    witness, class_rep = {}, {}
-    for start in sorted(all_tails):
-        if start in witness:
-            continue
-        witness[start] = {v: 0 for v in vs}
-        class_rep[start] = start
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for fam in _single_moves(g):
-                nxt = _act_tail(g, fam, cur)
-                if nxt not in witness:
-                    prev = witness[cur]
-                    witness[nxt] = {u: g.vobj[u].mul(prev[u], fam[u]) for u in vs}
-                    class_rep[nxt] = class_rep[start]
-                    queue.append(nxt)
-    return witness, class_rep
-
-
 def _dihedral_star(rng):
     """A D3 or D4 centre with leaves over dihedral, sign (Z2) or trivial edges."""
     n = rng.choice([3, 4])
@@ -623,15 +595,15 @@ def test_orbit_enumerator_matches_slow_oracle():
         res = h1_finite_bruteforce(gg)
         assert res.count == len(reps)
         assert [r.tail for r in res.representatives] == reps
-        assert list(res._class_index.items()) == list(class_index.items())
-        # the witness triple in the oracle's form: per tuple, a vertex dict and its representative
+        # as a mapping: its insertion order is the walk's visit order, which no reader uses
+        assert res._class_index == class_index
         w_reps, w_index, fams = cohomology._orbits(gg, 10**6, witnesses=True)
         vs = gg.base.sorted_vertices()
-        witness = {t: dict(zip(vs, fam)) for t, fam in fams.items()}
         class_rep = {t: w_reps[c] for t, c in w_index.items()}
-        assert (witness, class_rep) == oracle_witnesses(gg)
-        for t, fam in witness.items():
-            assert _act_tail(gg, fam, class_rep[t]) == t
+        assert class_rep == {t: reps[c] for t, c in class_index.items()}
+        # the witness family depends on the moves; each must still send the representative to t
+        for t, fam in fams.items():
+            assert act_tail(gg, dict(zip(vs, fam)), class_rep[t]) == t
         checked += 1
     assert checked >= 300
 

@@ -1,21 +1,25 @@
 """Mutated inputs at the CLI boundary: both analyze fixture specs and one
 group-graph of each carrier, with keys dropped and values replaced by other
 JSON types, out-of-range elements, wrong-length vectors and bools.  Whatever
-the input, `cli.main` returns an exit code in 0..5 and writes no traceback."""
+the input, `cli.main` returns an exit code in 0..5 and writes no traceback.
+Also random finite group-graphs, on which the orbit walk over generating
+sets partitions Z1 as the all-element oracle does."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import constant_group_graph, vector_gg
-from groupgraph import cli
+from conftest import act_tail, constant_group_graph, finite_gg, oracle_h1, vector_gg
+from groupgraph import cli, cohomology
+from groupgraph.generators import automorphisms_of, group_pool
 from groupgraph.graph import Graph
-from groupgraph.group_graph import cyclic_group
+from groupgraph.group_graph import cyclic_group, trivial_group
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -123,3 +127,51 @@ def test_mutated_spec_exits_with_a_code_not_a_traceback(data, summary):
 def test_mutated_group_graph_exits_with_a_code_not_a_traceback(data, mode):
     code, err = _run(["cohomology", "--mode", mode], data)
     assert code in range(6) and "Traceback" not in err, (code, err)
+
+
+@st.composite
+def finite_group_graphs(draw):
+    """A tree on 2-5 vertices, or a tree on 3-5 closed into one cycle by an
+    extra edge.  Either every group is Z1..Z6 with a random homomorphism
+    x -> c x mod m on each incidence, or each star is one group of order at
+    most 8 (nonabelian D3 and D4 included) or trivial, with automorphism or
+    trivial restrictions.  |Z1| is at most 512, so the oracle stays quick."""
+    n = draw(st.integers(2, 5))
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    if n >= 3 and draw(st.booleans()):
+        chords = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                  if (a, b) not in edges]
+        edges.append(draw(st.sampled_from(chords)))
+    homs = {}
+    if draw(st.booleans()):
+        vgroups = {v: cyclic_group(draw(st.integers(1, 6))) for v in names}
+        egroups = {e: cyclic_group(draw(st.integers(1, 6))) for e in edges}
+        for e in edges:
+            for v in e:
+                nv, m = vgroups[v].order, egroups[e].order
+                c = (m // math.gcd(nv, m)) * draw(st.integers(0, math.gcd(nv, m) - 1))
+                homs[(v, e)] = tuple(c * x % m for x in range(nv))
+    else:
+        name, grp = draw(st.sampled_from([p for p in group_pool() if p[1].order <= 8]))
+        auts = automorphisms_of(name, grp)
+        vgroups = {v: draw(st.sampled_from([grp, grp, trivial_group()])) for v in names}
+        egroups = {e: draw(st.sampled_from([grp, grp, trivial_group()])) for e in edges}
+        for e in edges:
+            for v in e:
+                if vgroups[v] is grp and egroups[e] is grp:
+                    homs[(v, e)] = draw(st.sampled_from(auts + [(0,) * grp.order]))
+    hypothesis.assume(math.prod(egroups[e].order for e in edges) <= 512)
+    return finite_gg(names, edges, vgroups, egroups, homs)
+
+
+@hypothesis.settings(FUZZ, max_examples=150)
+@hypothesis.given(gg=finite_group_graphs())
+def test_orbit_walk_partitions_z1_as_the_all_element_oracle(gg):
+    reps, class_index = oracle_h1(gg)
+    w_reps, w_index, fams = cohomology._orbits(gg, 10**6, witnesses=True)
+    assert w_reps == reps
+    assert w_index == class_index
+    vs = gg.base.sorted_vertices()
+    for t, fam in fams.items():
+        assert act_tail(gg, dict(zip(vs, fam)), w_reps[w_index[t]]) == t
