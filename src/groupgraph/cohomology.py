@@ -248,28 +248,6 @@ def h1_class_coordinates(result: CohomologyResult, z: Cocycle1) -> list[Fraction
     return [vec[i] for i in free]
 
 
-def _generators(grp) -> list[int]:
-    """A generating set of a finite group, chosen greedily: each element, in
-    index order, that the subgroup generated by the earlier picks does not
-    contain.  Each pick at least doubles that subgroup, so there are at most
-    log2 of the order of them."""
-    gens: list[int] = []
-    sub = {0}
-    for x in range(1, grp.order):
-        if x in sub:
-            continue
-        gens.append(x)
-        stack = list(sub)
-        while stack:
-            y = stack.pop()
-            for s in gens:
-                z = grp.table[y][s]
-                if z not in sub:
-                    sub.add(z)
-                    stack.append(z)
-    return gens
-
-
 def _orbits(g: GroupGraph, budget: int, witnesses: bool = False):
     """Partition Z1 (as tail tuples) into orbits of the vertex-family action.
 
@@ -279,55 +257,52 @@ def _orbits(g: GroupGraph, budget: int, witnesses: bool = False):
     lexicographic, so the first unseen tuple of an orbit is its minimum: it is
     the representative, the trivial tuple is class 0, and representatives
     arrive sorted.  Each orbit is explored from it in a LIFO queue with
-    single-vertex moves (v, x) for x in `_generators(G_v)`: the orbits of a
+    single-vertex moves (v, x) for x in `G_v.generators`: the orbits of a
     finite group are those of any generating set (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005, 4.1), so which moves reach
     a tuple changes none of the outputs, only the witness recorded for it.
-    A move is compiled once into (edge index, permutation of G_e) over the
-    edges at v: t -> rho_v(x)^-1 t where v is the tail, t -> t rho_v(x) where
-    v is the head.
+    A move is compiled once, from v's incidences in `g.view`, into (edge
+    index, permutation of G_e) over the edges at v: t -> rho_v(x)^-1 t where
+    v is the tail, t -> t rho_v(x) where v is the head.
 
     Returns (representatives, class index of every tuple, witness); with
     `witnesses`, witness[t] is a family over the sorted vertices sending the
     representative of t's orbit to t, else witness is None.
     """
-    edges = g.base.sorted_edges()
-    vs = g.base.sorted_vertices()
-    z1_size = math.prod(g.eobj[e].order for e in edges)
+    fv = g.view
+    z1_size = math.prod(grp.order for grp in fv.egroups)
     if z1_size > budget:
         raise BudgetExceeded(
             f"Z1 enumeration of {z1_size} cocycles exceeds budget {budget}",
             {"candidates": z1_size, "budget": budget},
         )
     moves = []
-    for vi, v in enumerate(vs):
-        table = g.vobj[v].table
-        incident = [(i, e) for i, e in enumerate(edges) if v in e]
-        for x in _generators(g.vobj[v]):
+    for vi, vgrp in enumerate(fv.vgroups):
+        for x in vgrp.generators:
             patches = []
-            for i, e in incident:
-                grp = g.eobj[e]
-                r = g.restriction(v, e).apply(x)
+            for i, side in fv.incident[vi]:
+                grp = fv.egroups[i]
+                r = fv.rho[i][side][x]
                 if r == 0:
                     continue  # the identity permutation
-                if v == e[0]:
-                    patches.append((i, grp.table[grp.inv(r)]))
+                if side == 0:  # v is the tail
+                    patches.append((i, grp.table[grp.inverses[r]]))
                 else:
                     patches.append((i, tuple(row[r] for row in grp.table)))
             if patches:  # a move that fixes every tuple finds nothing new
-                moves.append((vi, tuple(row[x] for row in table), patches))
+                moves.append((vi, tuple(row[x] for row in vgrp.table), patches))
 
     seen: dict[tuple, int] = {}
     reps: list[tuple] = []
     witness: dict[tuple, tuple] | None = {} if witnesses else None
-    for start in itertools.product(*(range(g.eobj[e].order) for e in edges)):
+    for start in itertools.product(*(range(grp.order) for grp in fv.egroups)):
         if start in seen:
             continue
         cls = len(reps)
         reps.append(start)
         seen[start] = cls
         if witness is not None:
-            witness[start] = (0,) * len(vs)
+            witness[start] = (0,) * len(fv.vertices)
         queue = [start]
         while queue:
             cur = queue.pop()
@@ -364,8 +339,9 @@ def h1_finite_bruteforce(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> Co
 
 def _family_sum(g: GroupGraph, factor, budget: int, stage: str) -> int:
     """The sum over all vertex families c of C0 of the product over the edges
-    e = (a, b) of factor(g, e)[c_a * |G_b| + c_b], by exact variable
-    elimination (Kschischang, Frey and Loeliger, IEEE Trans. IT 47, 2001).
+    e = (a, b) of factor(G_e, rho_a, rho_b)[c_a * |G_b| + c_b], by exact
+    variable elimination (Kschischang, Frey and Loeliger, IEEE Trans. IT 47,
+    2001), with G_e and the restriction tables read from `g.view`.
 
     A factor is a scope (sorted vertices) and a flat row-major table over
     their values.  Vertices are summed out in min-degree order in the graph of
@@ -388,14 +364,14 @@ def _family_sum(g: GroupGraph, factor, budget: int, stage: str) -> int:
             )
         return n
 
+    fv = g.view
     factors: dict[int, tuple[tuple[str, ...], list[int]]] = {}
-    at: dict[str, set[int]] = {v: set() for v in order}  # factors mentioning v
+    # the factors mentioning v, at first its edges
+    at = {v: {i for i, _ in fv.incident[p]} for p, v in enumerate(fv.vertices)}
     nbrs: dict[str, set[str]] = {v: set() for v in order}
-    for i, (a, b) in enumerate(g.base.sorted_edges()):
+    for i, (a, b) in enumerate(fv.edges):
         cells((a, b))
-        factors[i] = ((a, b), factor(g, (a, b)))
-        at[a].add(i)
-        at[b].add(i)
+        factors[i] = ((a, b), factor(fv.egroups[i], *fv.rho[i]))
         nbrs[a].add(b)
         nbrs[b].add(a)
     heap = [(len(n), v) for v, n in nbrs.items()]
@@ -441,31 +417,16 @@ def _family_sum(g: GroupGraph, factor, budget: int, stage: str) -> int:
     return total
 
 
-def _conjugacy(grp) -> tuple[list[int], list[int]]:
-    """Per element of a finite group: a label of its conjugacy class (the
-    class's smallest element) and the order of its centralizer."""
-    n, t = grp.order, grp.table
-    label, centralizer = [-1] * n, [0] * n
-    for p in range(n):
-        if label[p] < 0:
-            conjugates = {t[t[grp.inv(z)][p]][z] for z in range(n)}
-            for q in conjugates:
-                label[q], centralizer[q] = p, n // len(conjugates)
-    return label, centralizer
-
-
-def _burnside_factor(g: GroupGraph, e) -> list[int]:
+def _burnside_factor(grp, ra, rb) -> list[int]:
     """N_e(x, y) = #{t in G_e : t^-1 rho_a(x) t = rho_b(y)}, the number of tail
     values at e = (a, b) that the family with c_a = x, c_b = y fixes: the
     centralizer order of rho_a(x) when rho_b(y) is conjugate to it, else 0."""
-    label, centralizer = _conjugacy(g.eobj[e])
-    ra, rb = (g.restriction(v, e).data for v in e)
+    label, centralizer = grp.conjugacy
     return [centralizer[p] if label[p] == label[q] else 0 for p in ra for q in rb]
 
 
-def _compatible_factor(g: GroupGraph, e) -> list[int]:
+def _compatible_factor(grp, ra, rb) -> list[int]:
     """[rho_a(x) = rho_b(y)] at e = (a, b)."""
-    ra, rb = (g.restriction(v, e).data for v in e)
     return [int(p == q) for p in ra for q in rb]
 
 

@@ -70,7 +70,6 @@ class FiniteGroup:
     def __init__(self, order: int, table, validate: bool = True):
         self.order = order
         self.table = tuple(tuple(row) for row in table)
-        self._inv: tuple[int, ...] | None = None
         if validate:
             self._validate()
 
@@ -100,9 +99,47 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        if self._inv is None:
-            self._inv = tuple(row.index(0) for row in self.table)
-        return self._inv[a]
+        return self.inverses[a]
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        """The inverse of each element, by index."""
+        return tuple(row.index(0) for row in self.table)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily: each element, in index order,
+        that the subgroup generated by the earlier picks does not contain.
+        Each pick at least doubles that subgroup, so there are at most log2
+        of the order of them."""
+        gens: list[int] = []
+        sub = {0}
+        for x in range(1, self.order):
+            if x in sub:
+                continue
+            gens.append(x)
+            stack = list(sub)
+            while stack:
+                y = stack.pop()
+                for s in gens:
+                    z = self.table[y][s]
+                    if z not in sub:
+                        sub.add(z)
+                        stack.append(z)
+        return tuple(gens)
+
+    @cached_property
+    def conjugacy(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per element: a label of its conjugacy class (the class's smallest
+        element) and the order of its centralizer."""
+        n, t, inv = self.order, self.table, self.inverses
+        label, centralizer = [-1] * n, [0] * n
+        for p in range(n):
+            if label[p] < 0:
+                conjugates = {t[t[inv[z]][p]][z] for z in range(n)}
+                for q in conjugates:
+                    label[q], centralizer[q] = p, n // len(conjugates)
+        return tuple(label), tuple(centralizer)
 
     def identity(self) -> int:
         return 0
@@ -124,15 +161,13 @@ class FiniteGroup:
         s = set(elems)
         if 0 not in s:
             return False
-        return all(self.mul(a, b) in s and self.inv(a) in s for a in s for b in s)
+        t, inv = self.table, self.inverses
+        return all(t[a][b] in s and inv[a] in s for a in s for b in s)
 
     def is_normal(self, elems) -> bool:
         s = set(elems)
-        return all(
-            self.mul(self.mul(g, k), self.inv(g)) in s
-            for g in range(self.order)
-            for k in s
-        )
+        t, inv = self.table, self.inverses
+        return all(t[t[g][k]][inv[g]] in s for g in range(self.order) for k in s)
 
     def quotient(self, normal_elems) -> tuple["FiniteGroup", tuple[int, ...]]:
         """Quotient by a normal subgroup; returns (group, projection index map)."""
@@ -141,19 +176,17 @@ class FiniteGroup:
             raise GroupGraphError("not a subgroup")
         if not self.is_normal(k):
             raise GroupGraphError("subgroup is not normal")
-        coset_of: dict[int, frozenset[int]] = {}
+        # each coset is met first at its smallest element, so the cosets are
+        # numbered in the order of their minima, the identity coset first
+        t, index, reps = self.table, {}, []
         for x in range(self.order):
-            if x not in coset_of:
-                cs = frozenset(self.mul(x, h) for h in k)
-                for y in cs:
-                    coset_of[y] = cs
-        cosets = sorted({cs for cs in coset_of.values()}, key=min)
-        cosets.sort(key=lambda cs: 0 not in cs)  # identity coset first
-        index = {cs: i for i, cs in enumerate(cosets)}
-        proj = tuple(index[coset_of[x]] for x in range(self.order))
-        reps = [min(cs) for cs in cosets]
-        table = [[proj[self.mul(a, b)] for b in reps] for a in reps]
-        return FiniteGroup(len(cosets), table, validate=False), proj
+            if x not in index:
+                for h in k:
+                    index[t[x][h]] = len(reps)
+                reps.append(x)
+        proj = tuple(index[x] for x in range(self.order))
+        table = [[proj[t[a][b]] for b in reps] for a in reps]
+        return FiniteGroup(len(reps), table, validate=False), proj
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """All automorphisms as permutation tuples (brute force; small orders only)."""
@@ -423,6 +456,29 @@ class GroupHom:
 # group-graphs
 
 
+class GroupGraphView:
+    """A group-graph compiled once, in time linear in its incidences, for the
+    cochain kernels.  Vertices and edges are numbered in sorted order; side 0
+    of an edge is its tail (the smaller endpoint) and side 1 its head.  Each
+    group caches its own inverses, generators and conjugacy classes."""
+
+    def __init__(self, g: "GroupGraph"):
+        self.vertices = g.base.sorted_vertices()
+        self.edges = g.base.sorted_edges()
+        self.vpos = {v: i for i, v in enumerate(self.vertices)}
+        self.epos = {e: i for i, e in enumerate(self.edges)}
+        self.vgroups = [g.vobj[v] for v in self.vertices]
+        self.egroups = [g.eobj[e] for e in self.edges]
+        # per edge: the positions of its ends, and the restriction data
+        # (`GroupHom.data`) at them; per vertex: (edge index, side) in edge order
+        self.ends = [(self.vpos[a], self.vpos[b]) for a, b in self.edges]
+        self.rho = [(g.restriction(e[0], e).data, g.restriction(e[1], e).data) for e in self.edges]
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for i, ends in enumerate(self.ends):
+            for side, v in enumerate(ends):
+                self.incident[v].append((i, side))
+
+
 class GroupGraph:
     def __init__(self, base: Graph, carrier: str, vobj: dict, eobj: dict, restrictions: dict):
         if not isinstance(carrier, str) or carrier not in CARRIERS:
@@ -458,6 +514,8 @@ class GroupGraph:
 
     def stars(self) -> list:
         return self.base.sorted_vertices() + self.base.sorted_edges()
+
+    view = cached_property(GroupGraphView)  # built once: nothing mutates a group-graph
 
     @cached_property
     def _irregular_incidences(self) -> tuple[tuple[str, Edge], ...]:
@@ -552,7 +610,7 @@ class GroupGraphMorphism:
         pushed), else the position of over(e) among the source's sorted
         edges, whether over(e)'s tail is the image of e's head (the value is
         inverted first), and the edge map."""
-        pos = {e: i for i, e in enumerate(self.source.base.sorted_edges())}
+        pos = self.source.view.epos
         plan = []
         for e in self.target.base.sorted_edges():
             img = self.over.apply_edge(e)
@@ -604,15 +662,12 @@ def _h0_subgroup_finite(g: GroupGraph, sub: Graph, budget: int):
             f"H0 enumeration of {size} families exceeds budget {budget}",
             {"candidates": size, "budget": budget},
         )
-    pos = {v: i for i, v in enumerate(vs)}
-    sides = [
-        (g.restriction(a, (a, b)), pos[a], g.restriction(b, (a, b)), pos[b])
-        for a, b in sub.sorted_edges()
-    ]
+    pos = {v: i for i, v in enumerate(vs)}  # in the subgraph, not in g.view
+    sides = [(g.view.rho[g.view.epos[e]], pos[e[0]], pos[e[1]]) for e in sub.sorted_edges()]
     out = [
         t
         for t in itertools.product(*(range(g.vobj[v].order) for v in vs))
-        if all(ra.apply(t[i]) == rb.apply(t[j]) for ra, i, rb, j in sides)
+        if all(ra[t[i]] == rb[t[j]] for (ra, rb), i, j in sides)
     ]
     return out, vs
 

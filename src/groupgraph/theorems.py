@@ -125,10 +125,6 @@ def _preimage(preimages: dict, value) -> int:
         raise VerificationError("no preimage found where one must exist") from None
 
 
-def _inverses(grp) -> tuple[int, ...]:
-    return tuple(map(grp.inv, range(grp.order)))
-
-
 class _QuotientLift:
     """The constructive lift of the inductive proof, compiled once per
     (g, k, proj, quotient witness; see `quotient_lift`).  Calling it on two
@@ -136,63 +132,45 @@ class _QuotientLift:
     with (k_v) acting on z giving exactly h.  The induction runs outward from
     the lexicographically smallest root, each vertex after its parent.  Every
     group operation of a call is a lookup in a Cayley table or an inverse
-    tuple, and vertices are addressed by their sorted position."""
+    tuple.  Stars are addressed by their positions in `g.view`, which holds
+    the groups, ends and restriction tables; the lift adds only the parent
+    order, the flips, the kernels and the preimages."""
 
     def __init__(self, g: GroupGraph, k: SubGroupGraph, proj: GroupGraphMorphism, quotient_witness):
         self.g = g
         _, self.class_index, self.witness = quotient_witness
-        self.vs = g.base.sorted_vertices()
-        quo = proj.target
-        # per vertex: the quotient's table and inverses, g's table, and the
-        # smallest preimage of each quotient value under the projection
-        self.vertices = [
-            (
-                quo.vobj[v].table, _inverses(quo.vobj[v]), g.vobj[v].table,
-                _min_preimages(proj.maps[v].data, range(g.vobj[v].order)),
-            )
-            for v in self.vs
-        ]
-        # the projection's push plan, per quotient edge: None (collapsed),
-        # else (source position, inverses when flipped or None, edge map)
-        self.push = [
-            None if step is None
-            else (step[0], _inverses(step[2].source) if step[1] else None, step[2].data)
-            for step in proj.push_plan
-        ]
+        fv = self.view = g.view
+        # per vertex: the quotient group, and the smallest preimage of each
+        # quotient value under the projection
+        self.qgroups = proj.target.view.vgroups
+        self.lifts = [_min_preimages(proj.maps[v].data, range(grp.order))
+                      for v, grp in zip(fv.vertices, fv.vgroups)]
+        self.proj = proj
         # the induction needs unique parent edges; visit order is parent-first
-        vpos = {v: i for i, v in enumerate(self.vs)}
-        parent = subtree_parents(Tree(g.base), {min(self.vs)})
-        # per edge, in tail order: its table and inverses, whether the parent
-        # end is the head, rho at the parent end v and at the child end w, the
-        # positions of v and w, and the kernel k_e
-        self.edges = []
-        for e in g.base.sorted_edges():
-            v, w = e if parent[e[1]] == e[0] else e[::-1]
-            grp = g.eobj[e]
-            self.edges.append((
-                grp.table, _inverses(grp), v != e[0], g.restriction(v, e).data,
-                g.restriction(w, e).data, vpos[v], vpos[w], k.subs[e],
-            ))
-        pos = {e: i for i, e in enumerate(g.base.sorted_edges())}
+        parent = subtree_parents(Tree(g.base), {fv.vertices[0]})
+        # per edge: the side of its parent end (1 when that is the head), and
+        # the kernel k_e
+        self.flips = [int(parent[b] != a) for a, b in fv.edges]
+        self.kernels = [k.subs[e] for e in fv.edges]
         # per non-root vertex w, in visit order: its position, its parent's,
         # the index of the edge between them, and the smallest preimage in
         # k_w of each rho_w value
         self.steps = []
         for w, par in parent.items():
             if par is not None:
-                i = pos[(min(par, w), max(par, w))]
-                self.steps.append(
-                    (vpos[w], vpos[par], i, _min_preimages(self.edges[i][4], k.subs[w]))
-                )
+                i = fv.epos[(min(par, w), max(par, w))]
+                rho_w = fv.rho[i][1 - self.flips[i]]
+                self.steps.append((fv.vpos[w], fv.vpos[par], i, _min_preimages(rho_w, k.subs[w])))
 
     def _project(self, tail) -> tuple:
+        """The projection's push of a tail, along `proj.push_plan`."""
         out = []
-        for step in self.push:
+        for step in self.proj.push_plan:
             if step is None:
                 out.append(0)
                 continue
-            i, inv, data = step
-            out.append(data[tail[i] if inv is None else inv[tail[i]]])
+            i, flip, hom = step
+            out.append(hom.data[hom.source.inverses[tail[i]] if flip else tail[i]])
         return tuple(out)
 
     def __call__(self, z: Cocycle1, h: Cocycle1) -> Cochain0:
@@ -203,15 +181,21 @@ class _QuotientLift:
         # both are families over the sorted vertices, which quo shares with g;
         # lift that quotient family
         gv = [
-            _preimage(lift, qt[qinv[x]][y])
-            for (qt, qinv, _, lift), x, y in zip(self.vertices, self.witness[tz], self.witness[th])
+            _preimage(lift, q.table[q.inverses[x]][y])
+            for q, lift, x, y in zip(self.qgroups, self.lifts, self.witness[tz], self.witness[th])
         ]
 
-        # solve for the edge correction in the kernel
+        # solve for the edge correction in the kernel, with v the parent end
+        # of each edge and w the child end
+        fv = self.view
         zv, ge = [], []  # per edge: z at its parent end, and the correction
-        for (t, inv, flip, rho_v, rho_w, v, w, kern), zx, hx in zip(self.edges, z.tail, h.tail):
-            if flip:  # the values at the parent end
+        for grp, (v, w), (rho_v, rho_w), flip, kern, zx, hx in zip(
+            fv.egroups, fv.ends, fv.rho, self.flips, self.kernels, z.tail, h.tail
+        ):
+            t, inv = grp.table, grp.inverses
+            if flip:  # the parent end is the head: take the values there
                 zx, hx = inv[zx], inv[hx]
+                v, w, rho_v, rho_w = w, v, rho_w, rho_v
             expr = t[t[inv[rho_v[gv[v]]]][zx]][rho_w[gv[w]]]
             zv.append(zx)
             ge.append(t[inv[expr]][hx])
@@ -221,15 +205,16 @@ class _QuotientLift:
         kv = list(gv)  # the root keeps its lift; every other vertex is set below
         fprime = [0] * len(gv)
         for w, par, i, kernel_preimage in self.steps:
-            t, inv, _, rho_par, rho_w = self.edges[i][:5]
-            tw = self.vertices[w][2]
+            t, inv, p = fv.egroups[i].table, fv.egroups[i].inverses, self.flips[i]
+            rho_par, rho_w = fv.rho[i][p], fv.rho[i][1 - p]
+            tw = fv.vgroups[w].table
             gprime_w = _preimage(kernel_preimage, ge[i])
             gg = t[t[inv[rho_par[kv[par]]]][zv[i]]][rho_w[tw[gv[w]][gprime_w]]]
             tilde = t[t[inv[gg]][rho_par[fprime[par]]]][gg]
             fprime[w] = tw[gprime_w][_preimage(kernel_preimage, tilde)]
             kv[w] = tw[gv[w]][fprime[w]]
 
-        cochain = Cochain0(self.g, dict(zip(self.vs, kv)))
+        cochain = Cochain0(self.g, dict(zip(fv.vertices, kv)))
         if coboundary_action(cochain, z, self.g).tail != h.tail:
             raise VerificationError("constructive lift failed to trivialize the pair")
         return cochain
@@ -309,26 +294,24 @@ def direct_image_verify(
     collapsed edges, and surjectivity under trivial fiber cohomology."""
     img, j = direct_image(phi, g, budget)
     mp = h1_map(j, budget)
-    collapsed = [e for e in g.base.sorted_edges() if phi.collapses(e)]
+    tgt = mp.target_result
     edges = g.base.sorted_edges()
-    col_idx = [edges.index(e) for e in collapsed]
+    col_idx = [i for i, e in enumerate(edges) if phi.collapses(e)]
 
     if g.carrier == "finite":
-        tgt = mp.target_result
         image_classes = set(mp.mapping)
         flat_classes = {
             c for t, c in tgt._class_index.items() if all(t[i] == 0 for i in col_idx)
         }
         image_ok = image_classes == flat_classes
     else:
-        tgt = mp.target_result
         image_cols = [
             [mp.matrix[i][jcol] for i in range(len(mp.matrix))]
             for jcol in range(mp.source_result.dim)
         ]
         flat_coords = []
         for idx, e in enumerate(edges):
-            if e in collapsed:
+            if phi.collapses(e):
                 continue
             for i in range(g.eobj[e].dim):
                 tail = [[Fraction(0)] * g.eobj[f].dim for f in edges]

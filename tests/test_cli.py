@@ -272,7 +272,7 @@ def test_cohomology_reports_a_verifier_error_with_exit_five(monkeypatch, capsys,
     # a Burnside sum with a remainder, in the count mode: only the trivial
     # family of the Z4 square (|C0| = 256) keeps a nonzero product
     path = write_json(tmp_path / "square.json", cli._z4_square()[0].to_json())
-    monkeypatch.setattr(cohomology, "_burnside_factor", lambda g, e: [1] + [0] * 15)
+    monkeypatch.setattr(cohomology, "_burnside_factor", lambda grp, ra, rb: [1] + [0] * 15)
     code = cli.main(["cohomology", "--input", path, "--mode", "count"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""

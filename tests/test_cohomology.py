@@ -384,10 +384,19 @@ def _generator_groups():
 
 
 def test_generating_sets_generate_with_at_most_log2_elements():
+    """The cached generators, and the inverses and conjugacy classes cached
+    beside them, against their definitions."""
     checked = 0
     for name, grp in _generator_groups():
-        gens = cohomology._generators(grp)
-        assert gens == sorted(set(gens)) and 0 not in gens, name
+        n, inv = grp.order, grp.inverses
+        assert len(inv) == n and all(grp.mul(a, inv[a]) == 0 for a in range(n)), name
+        label, centralizer = grp.conjugacy
+        for p in range(n):
+            conjugates = {grp.mul(grp.mul(inv[z], p), z) for z in range(n)}
+            assert label[p] == min(conjugates), name
+            assert centralizer[p] == sum(grp.mul(z, p) == grp.mul(p, z) for z in range(n)), name
+        gens = grp.generators
+        assert gens == tuple(sorted(set(gens))) and 0 not in gens, name
         sub, stack = {0}, [0]
         while stack:
             y = stack.pop()
@@ -608,6 +617,84 @@ def test_orbit_enumerator_matches_slow_oracle():
     assert checked >= 300
 
 
+# --- the compiled view, against a brute-force scan ---------------------------------
+
+
+def _closed_into_a_cycle(rng, g):
+    """g with one chord added between two non-adjacent vertices, over the
+    group of one end or Z2: the identity restriction where the groups
+    coincide, else the trivial one.  g itself when it has no such pair."""
+    vs = g.base.sorted_vertices()
+    chords = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if (a, b) not in g.base.edges]
+    if not chords:
+        return g
+    e = rng.choice(chords)
+    homs = {(v, f): h.data for (v, f), h in g.restrictions.items()}
+    egroups = {**g.eobj, e: rng.choice([g.vobj[e[0]], g.vobj[e[1]], cyclic_group(2)])}
+    return finite_gg(vs, g.base.sorted_edges() + [e], g.vobj, egroups, homs)
+
+
+def _leaf_star(n):
+    """A Z2 centre with n Z2 leaves: three Z2 edges, the rest trivial."""
+    z2, one = cyclic_group(2), trivial_group()
+    leaves = [f"l{i:05d}" for i in range(n)]
+    edges = [("c", leaf) for leaf in leaves]
+    egroups = {e: z2 if i < 3 else one for i, e in enumerate(edges)}
+    return finite_gg(["c"] + leaves, edges, {v: z2 for v in ["c"] + leaves}, egroups)
+
+
+def _view_instances():
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_finite_group_graph(rng, random_tree(rng, rng.randint(2, 7)))
+        yield g
+        yield _closed_into_a_cycle(rng, g)
+        g = random_regular_finite(rng, max_vertices=6)
+        yield g
+        yield _closed_into_a_cycle(rng, g)
+        g, k = random_exact_sequence(rng, max_vertices=4, good=seed % 3 > 0)
+        yield g
+        yield _closed_into_a_cycle(rng, g)
+        if seed % 3 > 0:
+            yield quotient_with_projection(g, k)[0]
+
+
+def _check_view(g, scanned=None):
+    """Every field of `g.view` against a scan of g's own dicts; incidence
+    lists by scanning all edges, at every vertex or at those given."""
+    fv = g.view
+    assert g.view is fv  # built once
+    vs, es = sorted(g.vobj), sorted(g.eobj)
+    assert fv.vertices == vs and fv.edges == es
+    assert fv.vpos == dict(zip(vs, range(len(vs))))
+    assert fv.epos == dict(zip(es, range(len(es))))
+    assert all(g.vobj[v] is grp for v, grp in zip(vs, fv.vgroups))
+    for i, (a, b) in enumerate(es):
+        grp = g.eobj[(a, b)]
+        assert fv.egroups[i] is grp
+        assert vs[fv.ends[i][0]] == a and vs[fv.ends[i][1]] == b
+        assert fv.rho[i] == (g.restriction(a, (a, b)).data, g.restriction(b, (a, b)).data)
+        assert grp.inverses == tuple(
+            next(y for y in range(grp.order) if grp.table[x][y] == 0) for x in range(grp.order)
+        )
+    for v in vs if scanned is None else scanned:
+        want = [(i, e.index(v)) for i, e in enumerate(es) if v in e]
+        assert fv.incident[fv.vpos[v]] == want, v
+
+
+def test_the_compiled_view_matches_a_brute_force_scan():
+    checked = cycles = 0
+    for g in _view_instances():
+        _check_view(g)
+        checked += 1
+        cycles += len(g.base.edges) >= len(g.base.vertices)
+    assert checked >= 250 and cycles >= 60
+    star = _leaf_star(4000)
+    _check_view(star, scanned=["c", "l00000", "l00002", "l00003", "l01999", "l03999"])
+    assert [len(inc) for inc in star.view.incident] == [4000] + [1] * 4000
+    assert h1_finite_bruteforce(star).count == 1
+
+
 # --- finite counts by sum-product, against the enumerations -------------------------
 
 
@@ -669,8 +756,8 @@ def test_burnside_remainder_raises_verification_error(monkeypatch):
     assert h1_finite_count(gg) == 1
     real = cohomology._burnside_factor
 
-    def off_by_one(g, e):
-        return [x + (i == 0) for i, x in enumerate(real(g, e))]
+    def off_by_one(grp, ra, rb):
+        return [x + (i == 0) for i, x in enumerate(real(grp, ra, rb))]
 
     monkeypatch.setattr(cohomology, "_burnside_factor", off_by_one)
     with pytest.raises(VerificationError, match="Burnside sum 5 leaves remainder 1 modulo"):

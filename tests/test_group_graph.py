@@ -119,6 +119,19 @@ def test_quotient_of_cyclic_group():
     assert proj == (0, 1, 0, 1)
 
 
+def test_quotient_refuses_a_non_subgroup_and_a_non_normal_subgroup():
+    d4 = dihedral_group(4)
+    with pytest.raises(GroupGraphError, match="not a subgroup"):
+        d4.quotient({0, 1})  # a rotation of order 4 without its powers
+    with pytest.raises(GroupGraphError, match="not a subgroup"):
+        d4.quotient({1, 2, 3})  # no identity
+    assert d4.is_subgroup({0, 4})
+    with pytest.raises(GroupGraphError, match="subgroup is not normal"):
+        d4.quotient({0, 4})  # a single reflection
+    q, proj = d4.quotient({0, 2})  # the centre
+    assert q.order == 4 and proj == (0, 1, 0, 1, 2, 3, 2, 3)
+
+
 def test_automorphisms_of_klein_four():
     v4, _ = direct_product_group([cyclic_group(2), cyclic_group(2)])
     assert len(v4.automorphisms()) == 6  # GL(2, F2)
