@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .graph import (
-    Graph, GraphMorphism, Tree, connected_components, contract, edge, edge_key, subtree_parents,
+    Graph, GraphMorphism, Tree, connected_components, contract, edge_key, outward_incidences,
 )
 from .group_graph import (
     FiniteGroup,
@@ -161,30 +161,23 @@ def random_connected_subset(rng: random.Random, t: Tree, size: int) -> frozenset
     return frozenset(chosen)
 
 
-def constrained_incidences(t: Tree, rset: frozenset[str]) -> list[tuple[str, tuple]]:
-    """(far vertex, its first edge toward the subtree), one per outside vertex."""
-    parent = subtree_parents(t, rset)
-    return [(v, edge(v, parent[v])) for v in sorted(t.vertices - rset)]
+def _times(src: FiniteGroup, tgt: FiniteGroup, c: int) -> GroupHom:
+    """The map x -> c*x mod |tgt| between cyclic groups."""
+    return GroupHom(src, tgt, tuple((c * x) % tgt.order for x in range(src.order)), validate=False)
 
 
-def _cyclic_hom(rng: random.Random, n: int, m: int) -> GroupHom:
-    """A random homomorphism between cyclic groups of orders n and m."""
+def _cyclic_hom(rng: random.Random, src: FiniteGroup, tgt: FiniteGroup) -> GroupHom:
+    """A random homomorphism between cyclic groups."""
+    n, m = src.order, tgt.order
     g = math.gcd(n, m)
-    c = (m // g) * rng.randrange(g)
-    return GroupHom(
-        cyclic_group(n), cyclic_group(m), tuple((c * x) % m for x in range(n)),
-        validate=False,
-    )
+    return _times(src, tgt, (m // g) * rng.randrange(g))
 
 
-def _surjective_cyclic_hom(rng: random.Random, n: int, m: int) -> GroupHom:
-    """Surjective hom onto a cyclic group whose order divides n."""
+def _surjective_cyclic_hom(rng: random.Random, src: FiniteGroup, tgt: FiniteGroup) -> GroupHom:
+    """Surjective hom onto a cyclic group whose order divides |src|."""
+    m = tgt.order
     units = [c for c in range(1, m + 1) if math.gcd(c, m) == 1]
-    c = rng.choice(units) if m > 1 else 0
-    return GroupHom(
-        cyclic_group(n), cyclic_group(m), tuple((c * x) % m for x in range(n)),
-        validate=False,
-    )
+    return _times(src, tgt, rng.choice(units) if m > 1 else 0)
 
 
 def random_repulsive_instance(
@@ -195,7 +188,7 @@ def random_repulsive_instance(
     n = rng.randint(2, max_vertices)
     t = random_tree(rng, n)
     rset = random_connected_subset(rng, t, rng.randint(1, n))
-    constrained = set(constrained_incidences(t, rset))
+    constrained = set(outward_incidences(t, rset))
     if carrier == "vector":
         vdim = {v: rng.randint(0, 2) for v in t.graph.sorted_vertices()}
         edim = {e: rng.randint(0, 2) for e in t.graph.sorted_edges()}
@@ -216,14 +209,13 @@ def random_repulsive_instance(
     eord = {e: rng.choice(orders) for e in t.graph.sorted_edges()}
     for v, e in sorted(constrained):
         eord[e] = rng.choice([d for d in orders if vord[v] % d == 0])
-    vobj = {v: cyclic_group(vord[v]) for v in t.vertices}
-    eobj = {e: cyclic_group(eord[e]) for e in eord}
+    groups = {o: cyclic_group(o) for o in orders}
+    vobj = {v: groups[vord[v]] for v in t.vertices}
+    eobj = {e: groups[eord[e]] for e in eord}
     restrictions = {}
     for v, e in t.graph.incidences():
-        if (v, e) in constrained:
-            restrictions[(v, e)] = _surjective_cyclic_hom(rng, vord[v], eord[e])
-        else:
-            restrictions[(v, e)] = _cyclic_hom(rng, vord[v], eord[e])
+        hom = _surjective_cyclic_hom if (v, e) in constrained else _cyclic_hom
+        restrictions[(v, e)] = hom(rng, vobj[v], eobj[e])
     return GroupGraph(t.graph, "finite", vobj, eobj, restrictions), rset
 
 
@@ -235,7 +227,7 @@ def random_nonrepulsive_instance(
         n = rng.randint(2, max_vertices)
         t = random_tree(rng, n)
         rset = random_connected_subset(rng, t, rng.randint(1, n - 1))
-        constrained = constrained_incidences(t, rset)
+        constrained = outward_incidences(t, rset)
         if not constrained:
             continue
         vdim = {v: rng.randint(0, 2) for v in t.graph.sorted_vertices()}
@@ -290,9 +282,7 @@ def random_exact_sequence(
     restrictions = {}
     for i, (v, e) in enumerate(incidences):
         c = rng.choice(bad_cs if i == spoiled else good_cs)
-        restrictions[(v, e)] = GroupHom(
-            grp, grp, tuple((c * x) % m for x in range(m)), validate=False
-        )
+        restrictions[(v, e)] = _times(grp, grp, c)
     vobj = {v: grp for v in t.vertices}
     eobj = {e: grp for e in t.graph.sorted_edges()}
     g = GroupGraph(t.graph, "finite", vobj, eobj, restrictions)
@@ -307,10 +297,11 @@ def random_finite_group_graph(rng: random.Random, t: Tree, max_order: int = 4) -
     orders = [o for o in (1, 2, 3, 4) if o <= max_order]
     vord = {v: rng.choice(orders) for v in t.graph.sorted_vertices()}
     eord = {e: rng.choice(orders) for e in t.graph.sorted_edges()}
-    vobj = {v: cyclic_group(vord[v]) for v in t.vertices}
-    eobj = {e: cyclic_group(eord[e]) for e in eord}
+    groups = {o: cyclic_group(o) for o in orders}
+    vobj = {v: groups[vord[v]] for v in t.vertices}
+    eobj = {e: groups[eord[e]] for e in eord}
     restrictions = {
-        (v, e): _cyclic_hom(rng, vord[v], eord[e]) for v, e in t.graph.incidences()
+        (v, e): _cyclic_hom(rng, vobj[v], eobj[e]) for v, e in t.graph.incidences()
     }
     return GroupGraph(t.graph, "finite", vobj, eobj, restrictions)
 
@@ -419,7 +410,7 @@ def random_foliation_spec(
         for v in sorted(comp.vertices - core):
             _decorate_green(rng, spec, v)
         anchor = core if core else frozenset({rng.choice(sorted(comp_vs))})
-        constrained = set(constrained_incidences(comp, anchor))
+        constrained = set(outward_incidences(comp, anchor))
         for e in comp.graph.sorted_edges():
             entry: dict = {"kind": "singular", "holonomy": {}}
             if e in red_edges:

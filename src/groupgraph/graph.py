@@ -311,6 +311,13 @@ def subtree_parents(t: Tree, r) -> dict[str, str | None]:
     return t.graph.bfs(sorted(_check_subtree(t, r)))
 
 
+def outward_incidences(t: Tree, r) -> list[tuple[str, Edge]]:
+    """(far vertex, its first edge toward the subtree), one per vertex outside
+    r, in vertex order."""
+    parent = subtree_parents(t, r)
+    return [(v, edge(v, p)) for v, p in sorted(parent.items()) if p is not None]
+
+
 def contraction_vertex_name(sub_vertices, taken=frozenset()) -> str:
     name = "+".join(sorted(sub_vertices))
     while name in taken:

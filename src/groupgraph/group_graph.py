@@ -831,21 +831,13 @@ class SubGroupGraph:
                     if not linalg.in_span(self.subs[e], rho.apply(vec)):
                         raise GroupGraphError(f"restriction at {incidence_key(v, e)} leaves the sub")
 
-    def is_normal(self) -> bool:
-        if self.parent.carrier == "vector":
-            return True
-        return all(
-            self.parent.obj(s).is_normal(self.subs[s])
-            for s in self.subs
-        )
-
 
 def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGraph, GroupGraphMorphism]:
-    """Componentwise quotient G/K plus the projection morphism over the identity."""
+    """Componentwise quotient G/K plus the projection morphism over the identity.
+    `FiniteGroup.quotient` refuses a star whose sub is not normal; on the
+    vector carrier every subspace is normal."""
     if k.parent is not g and k.parent.to_json() != g.to_json():
         raise GroupGraphError("sub-group-graph does not belong to this group-graph")
-    if not k.is_normal():
-        raise GroupGraphError("sub-group-graph is not normal")
     if g.carrier == "finite":
         made = {s: g.obj(s).quotient(k.subs[s]) for s in g.stars()}
         vobj = {v: made[v][0] for v in g.base.vertices}

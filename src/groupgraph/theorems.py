@@ -24,10 +24,11 @@ from .cohomology import (
     h1_finite_count,
     h1_map,
     h1_vector,
+    push_cocycle,
 )
 from .graph import (
     Edge, Graph, GraphError, GraphMorphism, Tree, connected_components, contract, edge_key,
-    subtree_parents,
+    outward_incidences, subtree_parents,
 )
 from .group_graph import (
     BudgetExceeded,
@@ -73,19 +74,14 @@ class RepulsivityReport:
 
 def check_repulsive(g: GroupGraph, r) -> RepulsivityReport:
     """Test outward surjectivity along the partial order induced by a subtree."""
-    t = Tree(g.base)
     rset = frozenset(r)
-    # an edge with both ends in the subtree is incomparable: no condition
-    outside = [e for e in g.base.sorted_edges() if not (e[0] in rset and e[1] in rset)]
-    # near precedes far across an edge exactly when near is far's parent toward r
-    parent = subtree_parents(t, rset) if outside else {}
+    # an edge with both ends in the subtree is incomparable: no condition;
+    # across any other edge near precedes far, near being far's parent toward r
     violations = [
         (far, e)
-        for e in outside
-        for near, far in (e, e[::-1])
-        if parent[far] == near and not g.restriction(far, e).is_surjective()
+        for far, e in outward_incidences(Tree(g.base), rset)
+        if not g.restriction(far, e).is_surjective()
     ]
-    violations.sort(key=lambda p: (p[0], p[1]))
     return RepulsivityReport(sorted(rset), violations)
 
 
@@ -125,11 +121,13 @@ def _preimage(preimages: dict, value) -> int:
         raise VerificationError("no preimage found where one must exist") from None
 
 
-class _QuotientLift:
+class QuotientLift:
     """The constructive lift of the inductive proof, compiled once per
-    (g, k, proj, quotient witness; see `quotient_lift`).  Calling it on two
-    cocycles whose projections are cohomologous produces a vertex family (k_v)
-    with (k_v) acting on z giving exactly h.  The induction runs outward from
+    (g, k, proj, quotient witness), where the witness is the
+    (representatives, class index, witness) triple of
+    `_orbits(quotient, budget, witnesses=True)`.  Calling it on two cocycles
+    whose projections are cohomologous produces a vertex family (k_v) with
+    (k_v) acting on z giving exactly h.  The induction runs outward from
     the lexicographically smallest root, each vertex after its parent.  Every
     group operation of a call is a lookup in a Cayley table or an inverse
     tuple.  Stars are addressed by their positions in `g.view`, which holds
@@ -162,19 +160,8 @@ class _QuotientLift:
                 rho_w = fv.rho[i][1 - self.flips[i]]
                 self.steps.append((fv.vpos[w], fv.vpos[par], i, _min_preimages(rho_w, k.subs[w])))
 
-    def _project(self, tail) -> tuple:
-        """The projection's push of a tail, along `proj.push_plan`."""
-        out = []
-        for step in self.proj.push_plan:
-            if step is None:
-                out.append(0)
-                continue
-            i, flip, hom = step
-            out.append(hom.data[hom.source.inverses[tail[i]] if flip else tail[i]])
-        return tuple(out)
-
     def __call__(self, z: Cocycle1, h: Cocycle1) -> Cochain0:
-        tz, th = self._project(z.tail), self._project(h.tail)
+        tz, th = push_cocycle(self.proj, z).tail, push_cocycle(self.proj, h).tail
         if self.class_index[tz] != self.class_index[th]:
             raise HypothesisViolated("projected cocycles are not cohomologous", [])
         # combine witnesses: c1 * rep = pz and c2 * rep = ph give (c1^-1 c2) * pz = ph;
@@ -220,22 +207,6 @@ class _QuotientLift:
         return cochain
 
 
-def quotient_lift(
-    g: GroupGraph,
-    k: SubGroupGraph,
-    proj: GroupGraphMorphism,
-    z: Cocycle1,
-    h: Cocycle1,
-    quotient_witness,
-) -> Cochain0:
-    """Realize the inductive proof on one pair: produce a vertex family (k_v)
-    with (k_v) acting on z giving exactly h, for two cocycles whose
-    projections are cohomologous.  `quotient_witness` is the (representatives,
-    class index, witness) triple of `_orbits(quotient, budget, witnesses=True)`
-    (see `_QuotientLift`)."""
-    return _QuotientLift(g, k, proj, quotient_witness)(z, h)
-
-
 def quotient_iso_verify(
     g: GroupGraph,
     k: SubGroupGraph,
@@ -263,7 +234,7 @@ def quotient_iso_verify(
     lifted = 0
     failures = []
     if require_tree:
-        lift = _QuotientLift(g, k, proj, _orbits(quo, budget, witnesses=True))
+        lift = QuotientLift(g, k, proj, _orbits(quo, budget, witnesses=True))
         src = mp.source_result
         # every cocycle against its class representative, class by class
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):

@@ -15,12 +15,14 @@ from conftest import (
     value_from_json,
     vector_gg,
 )
-from groupgraph import group_graph, linalg
+from groupgraph import cli, group_graph, linalg
 from groupgraph.generators import (
     group_pool,
     random_connected_subset,
     random_direct_image_pair,
+    random_exact_sequence,
     random_finite_group_graph,
+    random_repulsive_instance,
     random_tree,
     random_vector_group_graph,
 )
@@ -492,9 +494,25 @@ def test_quotient_requires_normality():
     d4 = dihedral_group(4)
     gg = constant_group_graph(Graph.make("ab", [("a", "b")]), d4)
     k = SubGroupGraph(gg, {s: frozenset({0, 4}) for s in gg.stars()})
-    assert not k.is_normal()
+    assert not all(d4.is_normal(k.subs[s]) for s in gg.stars())
     with pytest.raises(GroupGraphError):
         quotient(gg, k)
+    with pytest.raises(GroupGraphError, match="^subgroup is not normal$"):
+        quotient_with_projection(gg, k)
+
+
+def test_quotient_checks_each_star_for_normality_once(monkeypatch):
+    g, k = random_exact_sequence(cli._rng(0, "quotient", 0), max_vertices=3, good=True)
+    calls = []
+    is_normal = FiniteGroup.is_normal
+
+    def counted(self, elems):
+        calls.append(elems)
+        return is_normal(self, elems)
+
+    monkeypatch.setattr(FiniteGroup, "is_normal", counted)
+    quotient_with_projection(g, k)
+    assert len(calls) == len(list(g.stars())) == 3
 
 
 def test_vector_quotient_dims_and_maps():
@@ -651,3 +669,18 @@ def test_kernel_restriction_stability_random():
         }
         mor = GroupGraphMorphism(GraphMorphism.identity(gg.base), gg, gg, maps)
         SubGroupGraph(gg, {s: mor.maps[s].kernel() for s in gg.stars()})  # validates stability
+
+
+def test_generated_restrictions_map_the_star_groups():
+    """A generated restriction maps between its stars' own group objects, so
+    what a group caches (inverses, generators) serves its restrictions too."""
+    rng = random.Random(0)
+    graphs = [random_finite_group_graph(rng, random_tree(rng, 6))]
+    for seed in range(40):
+        graphs.append(random_repulsive_instance(random.Random(seed), "finite")[0])
+        graphs.append(random_direct_image_pair(random.Random(seed))[1])
+    finite = [g for g in graphs if g.carrier == "finite"]
+    assert len(finite) > 50
+    for g in finite:
+        for (v, e), rho in g.restrictions.items():
+            assert rho.source is g.vobj[v] and rho.target is g.eobj[e], (v, e)

@@ -24,6 +24,7 @@ from groupgraph import (
     Cocycle1,
     FoliationSpec,
     Graph,
+    QuotientLift,
     Tree,
     VectorSpace,
     build_tf_red,
@@ -41,7 +42,6 @@ from groupgraph import (
     is_regular,
     kernel_of,
     quotient,
-    quotient_lift,
     quotient_with_projection,
     remove_offsupport_edges,
     scan_typed_geodesics,
@@ -313,7 +313,7 @@ def _api_roots():
     quo, proj = quotient_with_projection(g, k)
     z = h1_finite_bruteforce(g).representatives[-1]
     h = coboundary_action(Cochain0(g, {v: o.order - 1 for v, o in g.vobj.items()}), z, g)
-    lift = quotient_lift(g, k, proj, z, h, _orbits(quo, 10**6, witnesses=True))
+    lift = QuotientLift(g, k, proj, _orbits(quo, 10**6, witnesses=True))(z, h)
     assert coboundary_action(lift, z, g).tail == h.tail
 
 

@@ -40,6 +40,7 @@ from groupgraph.cohomology import (
 )
 from groupgraph.theorems import (
     HypothesisViolated,
+    QuotientLift,
     VerificationError,
     RepulsivityReport,
     build_active_structure,
@@ -48,11 +49,9 @@ from groupgraph.theorems import (
     direct_image_verify,
     pruning_verify,
     quotient_iso_verify,
-    quotient_lift,
     regular_h1,
     restrict,
     tensor_h1_verify,
-    _QuotientLift,
 )
 from groupgraph.generators import (
     random_connected_subset,
@@ -183,9 +182,14 @@ def test_check_repulsive_matches_precedes_oracle():
     assert 10 < sum(reports) < 80
     # degenerate subtrees: no comparable edge, or not a subtree at all
     single = vector_gg(["a"], [], {"a": 1}, {})
-    assert check_repulsive(single, set()) == oracle_check_repulsive(single, set())
+    assert check_repulsive(single, {"a"}) == oracle_check_repulsive(single, {"a"})
     path = vector_gg(["a", "b", "c"], [("a", "b"), ("b", "c")],
                      {"a": 1, "b": 1, "c": 1}, {("a", "b"): 1, ("b", "c"): 1})
+    # a non-subtree is refused even when no edge lies outside it (the oracle
+    # tests no edge there, so it accepts these)
+    for graph, bad in ((single, set()), (single, {"a", "zzz"}), (path, {"a", "b", "c", "zzz"})):
+        with pytest.raises(GraphError):
+            check_repulsive(graph, bad)
     for bad in ({"a", "c"}, set(), {"a", "zzz"}):
         with pytest.raises(GraphError):
             oracle_check_repulsive(path, bad)
@@ -286,7 +290,7 @@ def test_constructive_lift_yields_trivializing_cochain():
             break
     assert other_tail is not None
     other = Cocycle1(gg, other_tail)
-    cochain = quotient_lift(gg, k, proj, rep, other, witnesses)
+    cochain = QuotientLift(gg, k, proj, witnesses)(rep, other)
     acted = coboundary_action(cochain, rep, gg)
     assert acted.tail == other.tail
 
@@ -302,7 +306,7 @@ def _min_preimage(data, value, domain=None) -> int:
 def oracle_quotient_lift(g, k, proj, z, h, quotient_witness):
     """The lift of the inductive proof for one pair, with all per-graph work
     done again on every call and every preimage found by a linear scan (the
-    slow oracle for the compiled `_QuotientLift`)."""
+    slow oracle for the compiled `QuotientLift`)."""
     base = g.base
     vs = base.sorted_vertices()
     edges = base.sorted_edges()
@@ -377,13 +381,13 @@ def test_compiled_lift_matches_the_oracle():
     for g, k in _lift_instances():
         quo, proj = quotient_with_projection(g, k)
         qw = _orbits(quo, 10**6, witnesses=True)
-        lift = _QuotientLift(g, k, proj, qw)
+        lift = QuotientLift(g, k, proj, qw)
         src = h1_finite_bruteforce(g)
         for t, c in sorted(src._class_index.items(), key=lambda item: (item[1], item[0])):
             rep, other = src.representatives[c], Cocycle1(g, t)
             want = oracle_quotient_lift(g, k, proj, rep, other, qw).values
             assert lift(rep, other).values == want, (t, c)
-            assert quotient_lift(g, k, proj, rep, other, qw).values == want
+            assert QuotientLift(g, k, proj, qw)(rep, other).values == want
             pairs += 1
         # distinct classes project to distinct classes: the lift refuses the pair
         for rep in src.representatives[1:]:
