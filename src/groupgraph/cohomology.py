@@ -114,22 +114,20 @@ class CohomologyResult:
     elements: list | None = None  # finite h0: compatible families
     # internal cross-referencing state (not serialized)
     _class_index: dict | None = field(default=None, repr=False)
-    # vector carrier: returns (basis, image basis of B1 or None), called on the
-    # first read of `basis` or `_im_basis`
-    _build_bases: Callable[[], tuple[list, list | None]] | None = field(
+    # vector carrier: returns (basis, `_b1_echelon` data or None), called on
+    # the first read of `basis` or `_b1_echelon`
+    _build_bases: Callable[[], tuple[list, tuple | None]] | None = field(
         default=None, repr=False, compare=False
     )
 
     @cached_property
-    def _bases(self) -> tuple[list | None, list | None]:
+    def _bases(self) -> tuple[list | None, tuple | None]:
         if self._build_bases is None:
             return None, None
-        basis, im_basis = self._build_bases()
+        basis, b1_echelon = self._build_bases()
         if len(basis) != self.dim:
-            raise RuntimeError(
-                f"basis of {len(basis)} vectors disagrees with dim {self.dim} (internal error)"
-            )
-        return basis, im_basis
+            raise VerificationError(f"basis of {len(basis)} vectors disagrees with dim {self.dim}")
+        return basis, b1_echelon
 
     @property
     def basis(self) -> list | None:
@@ -137,25 +135,12 @@ class CohomologyResult:
         return self._bases[0]
 
     @property
-    def _im_basis(self) -> list | None:
-        return self._bases[1]
-
-    @cached_property
     def _b1_echelon(self) -> tuple[list, list[int]]:
-        """`h1_class_coordinates`' data, built on first use: B1's
-        `linalg.last_entry_echelon` rows as (t, nonzero entries off t), and
-        the free positions (those no row has as its t), in order.  The H1
-        basis is the unit vectors at the free positions, so there are dim of
-        them among the dim + rank coordinates."""
-        if self._im_basis is None:
+        """`h1_class_coordinates`' data, built with the basis: B1's echelon
+        rows as (t, nonzero entries off t), and the free positions."""
+        if self._bases[1] is None:
             raise GroupGraphError("result carries no coboundary data (B1 basis)")
-        rows = [
-            (t, [(j, x) for j, x in enumerate(row) if x and j != t])
-            for t, row in linalg.last_entry_echelon(self._im_basis)
-        ]
-        spanned = {t for t, _ in rows}
-        free = [i for i in range(len(self.basis) + len(rows)) if i not in spanned]
-        return rows, free
+        return self._bases[1]
 
     def size(self):
         """Uniform handle on the result size: dimension or class count."""
@@ -203,11 +188,13 @@ def h0(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
 def h1_vector(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyResult:
     """dim H1 = dim Z1 - rank of the coboundary.  B1 is the column space of
     the difference map (the coboundary up to sign), and its rank comes from
-    sparse elimination (`linalg.sparse_rank`).  The basis (unit vectors in the
-    concatenated tail coordinates, split into per-edge tails) and the image
-    basis of B1 (the row space of the transposed map) are built by dense rref
-    on first read; their size is checked against the budget before, and their
-    length against `dim` after."""
+    sparse elimination (`linalg.sparse_rank`).  On first read one dense
+    `linalg.last_entry_echelon` of the transposed map gives B1's echelon rows
+    and the basis: the unit vectors (in the tail coordinates concatenated over
+    the edges) at the free positions, those no row has as its t.  That is the
+    greedy completion of B1 in coordinate order, which skips e_i exactly when
+    some vector of B1 has its last nonzero entry at i.  The size is checked
+    against the budget before, and the basis length against `dim` after."""
     if g.carrier != "vector":
         raise GroupGraphError("h1_vector requires the vector carrier")
     rows, _, ncols, eoffs = _difference_map(g, g.base)
@@ -217,12 +204,15 @@ def h1_vector(g: GroupGraph, budget: int = DEFAULT_ENUM_BUDGET) -> CohomologyRes
         # the difference map, dim C1 x dim C0, and at most dim C1 basis
         # vectors of dim C1 entries
         _check_dense_cells("H1 basis", (ncols + etotal) * etotal, budget)
-        im_basis = linalg.row_space_basis(linalg.transpose(linalg.dense(rows, ncols), ncols))
+        echelon = linalg.last_entry_echelon(linalg.transpose(linalg.dense(rows, ncols), ncols))
+        b1 = [(t, [(j, x) for j, x in enumerate(row) if x and j != t]) for t, row in echelon]
+        spanned = {t for t, _ in b1}
+        free = [i for i in range(etotal) if i not in spanned]
         basis = []
-        for i in linalg.extend_to_basis(im_basis, etotal):
+        for i in free:
             vec = [Fraction(1 if j == i else 0) for j in range(etotal)]
             basis.append(Cocycle1(g, (vec[o: o + g.eobj[e].dim] for e, o in eoffs.items())))
-        return basis, im_basis
+        return basis, (b1, free)
 
     return CohomologyResult(
         "h1", "vector", dim=etotal - linalg.sparse_rank(rows), _build_bases=bases
@@ -494,15 +484,18 @@ class H1Map:
     mapping: list | None = None  # finite: class index per source class
     matrix: list | None = None  # vector: target-basis coordinates, one column per source basis class
 
-    def is_injective(self) -> bool:
+    @cached_property
+    def image_size(self) -> int:
+        """Dimension or class count of the image, computed on first use."""
         if self.carrier == "finite":
-            return len(set(self.mapping)) == len(self.mapping)
-        return linalg.rank(self.matrix) == self.source_result.dim
+            return len(set(self.mapping))
+        return linalg.rank(self.matrix)
+
+    def is_injective(self) -> bool:
+        return self.image_size == self.source_result.size()
 
     def is_surjective(self) -> bool:
-        if self.carrier == "finite":
-            return set(self.mapping) == set(range(self.target_result.count))
-        return linalg.rank(self.matrix) == self.target_result.dim
+        return self.image_size == self.target_result.size()
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()

@@ -410,13 +410,13 @@ class GroupHom:
         return self.source.dim == self.target.dim and self.is_injective()  # one rank
 
     def kernel(self):
-        """Finite: sorted element indices.  Vector: a basis of the null space."""
+        """Finite: the frozenset of elements sent to 0.  Vector: a null space basis."""
         if self.kind == "finite":
             return frozenset(x for x in range(self.source.order) if self.data[x] == 0)
         return linalg.kernel_basis(self.data, self.source.dim)
 
     def image(self):
-        """Finite: sorted element indices.  Vector: a basis of the column space."""
+        """Finite: the frozenset of elements hit.  Vector: a column space basis."""
         if self.kind == "finite":
             return frozenset(self.data)
         cols = linalg.transpose(self.data, self.source.dim)
@@ -823,13 +823,13 @@ class SubGroupGraph:
                         raise GroupGraphError(f"basis vector of wrong length at {s}")
         for v, e in self.parent.base.incidences():
             rho = self.parent.restriction(v, e)
+            images = [rho.apply(x) for x in self.subs[v]]
             if self.parent.carrier == "finite":
-                if not all(rho.apply(x) in self.subs[e] for x in self.subs[v]):
-                    raise GroupGraphError(f"restriction at {incidence_key(v, e)} leaves the sub")
-            else:
-                for vec in self.subs[v]:
-                    if not linalg.in_span(self.subs[e], rho.apply(vec)):
-                        raise GroupGraphError(f"restriction at {incidence_key(v, e)} leaves the sub")
+                stable = all(y in self.subs[e] for y in images)
+            else:  # subs[e] is independent: the images lie in its span iff they add no rank
+                stable = linalg.rank(self.subs[e] + images) == len(self.subs[e])
+            if not stable:
+                raise GroupGraphError(f"restriction at {incidence_key(v, e)} leaves the sub")
 
 
 def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGraph, GroupGraphMorphism]:

@@ -188,28 +188,6 @@ def kernel_basis(m: Matrix, ncols: int) -> list[Vector]:
     return basis
 
 
-def solve(m: Matrix, b: Vector, ncols: int) -> Vector | None:
-    """One solution of m x = b, or None when inconsistent."""
-    aug = [row[:] + [bv] for row, bv in zip(m, b)]
-    r, pivots = rref(aug)
-    pivots_in_cols = [p for p in pivots if p < ncols]
-    if len(pivots_in_cols) != len(pivots):
-        return None  # pivot in the augmented column
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots_in_cols):
-        x[p] = r[i][ncols]
-    return x
-
-
-def in_span(vectors: list[Vector], v: Vector) -> bool:
-    if not v:
-        return True
-    if not vectors:
-        return all(x == 0 for x in v)
-    cols = transpose(vectors)
-    return solve(cols, v, len(vectors)) is not None
-
-
 def row_space_basis(m: Matrix) -> list[Vector]:
     r, pivots = rref(m)
     return [r[i] for i in range(len(pivots))]
@@ -228,18 +206,6 @@ def last_entry_echelon(vectors: list[Vector]) -> list[tuple[int, Vector]]:
     dim = len(vectors[0]) if vectors else 0
     r, pivots = rref([v[::-1] for v in vectors])
     return [(dim - 1 - p, r[i][::-1]) for i, p in enumerate(pivots)]
-
-
-def extend_to_basis(vectors: list[Vector], dim: int) -> list[int]:
-    """Indices of standard basis vectors completing `vectors` to a basis of Q^dim.
-
-    The choice is the greedy one in coordinate order (add e_i when it raises
-    the rank), computed from a single rref.  Greedy skips e_i exactly when
-    some vector of span(vectors) has its last nonzero entry at i, so the
-    chosen indices are the complement of `last_entry_echelon`'s positions.
-    """
-    spanned = {t for t, _ in last_entry_echelon(vectors)}
-    return [i for i in range(dim) if i not in spanned]
 
 
 def quotient_section(sub_basis: list[Vector], dim: int) -> Matrix:

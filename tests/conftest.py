@@ -1,6 +1,7 @@
 import itertools
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -250,6 +251,46 @@ def dense_rref(m):
         if row == nrows:
             break
     return r, pivots
+
+
+def greedy_extend_to_basis(vectors, dim):
+    """Slow oracle: add e_i, in coordinate order, whenever it raises the rank."""
+    rows = [v[:] for v in vectors]
+    current = linalg.rank(rows)
+    chosen = []
+    for i in range(dim):
+        e = [Fraction(1 if j == i else 0) for j in range(dim)]
+        cand = rows + [e]
+        if linalg.rank(cand) > current:
+            rows = cand
+            current += 1
+            chosen.append(i)
+        if current == dim:
+            break
+    return chosen
+
+
+def solve(m, b, ncols):
+    """One solution of m x = b by rref of the augmented matrix, or None when
+    inconsistent (test oracle for the class coordinates)."""
+    aug = [row[:] + [bv] for row, bv in zip(m, b)]
+    r, pivots = linalg.rref(aug)
+    pivots_in_cols = [p for p in pivots if p < ncols]
+    if len(pivots_in_cols) != len(pivots):
+        return None  # pivot in the augmented column
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots_in_cols):
+        x[p] = r[i][ncols]
+    return x
+
+
+def in_span(vectors, v) -> bool:
+    """v in span(vectors), by one `solve` (test oracle for SubGroupGraph)."""
+    if not v:
+        return True
+    if not vectors:
+        return all(x == 0 for x in v)
+    return solve(linalg.transpose(vectors), v, len(vectors)) is not None
 
 
 def rank_mod_p(int_rows: list[list[int]], p: int) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from groupgraph import cli, cohomology, foliation, theorems
+from groupgraph import cli, cohomology, foliation, linalg, theorems
 from groupgraph.generators import (
     random_finite_group_graph, random_regular_finite, random_repulsive_instance, random_tree,
 )
@@ -258,6 +258,27 @@ def test_a_rank_disagreement_in_regular_h1_is_a_verifier_failure(monkeypatch, ca
     failing = rep["failing_instance"]
     assert failing["family"] == "regular_vector"
     assert failing["error"].startswith("active-edge dimension ")
+
+
+def test_a_basis_that_disagrees_with_dim_is_a_verifier_failure(monkeypatch, capsys, tmp_path):
+    # a rank one too high: the dense basis has one vector more than dim
+    sparse_rank = linalg.sparse_rank
+    monkeypatch.setattr(linalg, "sparse_rank", lambda rows: sparse_rank(rows) + 1)
+    path = write_json(tmp_path / "gg.json", vector_gg_json())
+    code = cli.main(["cohomology", "--input", path, "--mode", "vector"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "verifier failure: basis of 1 vectors disagrees with dim 0\n"
+    # an echelon form one row short: the families that build a vector basis fail
+    monkeypatch.setattr(linalg, "sparse_rank", sparse_rank)
+    echelon = linalg.last_entry_echelon
+    monkeypatch.setattr(linalg, "last_entry_echelon", lambda vectors: echelon(vectors)[1:])
+    assert cli.main(["selfcheck", "--count", "2"]) == 5
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["families"]["pruning"] == {"pass": 0, "fail": 2}
+    failing = rep["failing_instance"]
+    assert failing["family"] == "pruning"
+    assert failing["error"].startswith("basis of ")
 
 
 def test_cohomology_reports_a_verifier_error_with_exit_five(monkeypatch, capsys, tmp_path):

@@ -13,11 +13,13 @@ from conftest import (
     compose_morphisms,
     constant_group_graph,
     finite_gg,
+    greedy_extend_to_basis,
     identity_morphism,
     is_abelian,
     is_trivial_cocycle,
     oracle_h1,
     rank_mod_p,
+    solve,
     trivial_cocycle,
     vector_gg,
 )
@@ -866,13 +868,19 @@ def _coboundary_matrix(g):
     return m, etotal
 
 
-def oracle_h1_vector(g):
-    """(dim, basis tail vectors, image basis) from the coboundary matrix."""
+def oracle_b1_basis(g):
+    """A basis of B1 in tail coordinates, from the coboundary matrix, and dim Z1."""
     m, etotal = _coboundary_matrix(g)
     cols = linalg.transpose(m, None) if m else []
     im_basis = linalg.row_space_basis(cols) if cols else []
-    im_basis = [v for v in im_basis if any(x != 0 for x in v)]
-    free = linalg.extend_to_basis(im_basis, etotal)
+    return [v for v in im_basis if any(x != 0 for x in v)], etotal
+
+
+def oracle_h1_vector(g):
+    """(dim, basis tail vectors, image basis): the basis is the greedy
+    completion of B1 by unit vectors."""
+    im_basis, etotal = oracle_b1_basis(g)
+    free = greedy_extend_to_basis(im_basis, etotal)
     basis = [[Fraction(1 if j == i else 0) for j in range(etotal)] for i in free]
     return etotal - len(im_basis), basis, im_basis
 
@@ -908,7 +916,17 @@ def test_difference_map_matches_slow_oracles():
         assert res.dim == dim
         assert "_bases" not in vars(res)  # dim comes from the sparse rank alone
         assert [flat(b) for b in res.basis] == basis
-        assert res._im_basis == im_basis
+        # B1's echelon rows: 1 at t, nothing after t or at another row's t,
+        # and the same span as the oracle's B1 basis
+        b1 = res._b1_echelon[0]
+        ts = {t for t, _ in b1}
+        assert all(j < t and j not in ts for t, entries in b1 for j, _ in entries)
+        echelon = [[Fraction(0)] * sum(o.dim for o in gg.eobj.values()) for _ in b1]
+        for row, (t, entries) in zip(echelon, b1):
+            row[t] = Fraction(1)
+            for j, x in entries:
+                row[j] = x
+        assert linalg.rank(echelon) == linalg.rank(echelon + im_basis) == len(im_basis)
         first = h1_vector(gg)  # the bases read before dim
         assert [flat(b) for b in first.basis] == basis and first.dim == dim
         # a combination of basis classes moved by a coboundary keeps its coordinates
@@ -939,19 +957,20 @@ def test_lazy_basis_is_checked_against_dim():
     gg = _vector_cycle(random.Random(5001))
     res = h1_vector(gg)
     res.dim += 1  # a rank that disagrees with the dense basis
-    with pytest.raises(RuntimeError, match="disagrees with dim"):
+    with pytest.raises(VerificationError, match="disagrees with dim"):
         res.basis
 
 
 def oracle_h1_class_coordinates(result, z):
     """Coordinates of a cocycle class by one dense solve against the H1 basis
-    and the B1 basis together (the span solve the echelon reduction replaced)."""
+    and the oracle's B1 basis together (the span solve the echelon reduction
+    replaced)."""
     vec = flat(z)
     basis_vecs = [flat(b) for b in result.basis]
-    span = basis_vecs + result._im_basis
+    span = basis_vecs + oracle_b1_basis(z.graph)[0]
     if not span:
         return []
-    sol = linalg.solve(linalg.transpose(span), vec, len(span))
+    sol = solve(linalg.transpose(span), vec, len(span))
     assert sol is not None, "a cocycle outside the span of H1 and B1"
     return sol[: len(basis_vecs)]
 
@@ -1002,24 +1021,29 @@ def test_class_coordinates_reduce_with_one_rref_per_result(monkeypatch):
     rref_calls = []
     real = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: rref_calls.append(1) or real(m))
-    t = random_vector_group_graph(random.Random(7), random_tree(random.Random(7), 5))
+    # H1 of dimension 6 and B1 of rank 8
+    t = random_vector_group_graph(random.Random(3), random_tree(random.Random(3), 5))
     tens = tensor(t, VectorSpace(2))
-    res = h1_vector(tens)
     z = Cocycle1(tens, ([Fraction(k + 1)] * tens.eobj[e].dim
                         for k, e in enumerate(tens.base.sorted_edges())))
+    # one rref serves the basis and every class coordinate, whichever is read first
+    res = h1_vector(tens)
+    assert res.basis
     first = h1_class_coordinates(res, z)
-    assert rref_calls
-    rref_calls.clear()
     for _ in range(5):
         assert h1_class_coordinates(res, z) == first
-    assert not rref_calls
+    assert len(rref_calls) == 1
+    rref_calls.clear()
+    res = h1_vector(tens)
+    assert h1_class_coordinates(res, z) == first and res.basis
+    assert len(rref_calls) == 1
 
 
 def test_class_coordinates_need_coboundary_data():
     # the active-edge result of regular_h1 carries a basis but no B1 basis
     g = random_regular_vector(random.Random(0))
     _, res = regular_h1(g)
-    assert res._im_basis is None
+    assert res.basis is not None and res._bases[1] is None
     with pytest.raises(GroupGraphError, match="no coboundary data"):
         h1_class_coordinates(res, trivial_cocycle(g))
 
@@ -1103,6 +1127,25 @@ def test_h1_map_functoriality_vector():
         lhs = h1_map(compose_morphisms(m2, m1))
         step1, step2 = h1_map(m1), h1_map(m2)
         assert lhs.matrix == linalg.mat_mul(step2.matrix, step1.matrix)
+
+
+def test_h1_map_ranks_its_matrix_once(monkeypatch):
+    rank_calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: rank_calls.append(1) or real(m))
+    # H1 of dimension 6
+    gg = tensor(random_vector_group_graph(random.Random(3), random_tree(random.Random(3), 5)),
+                VectorSpace(2))
+    zero = GroupGraphMorphism(
+        GraphMorphism.identity(gg.base), gg, gg,
+        {s: GroupHom.trivial(gg.obj(s), gg.obj(s)) for s in gg.stars()},
+    )
+    for mor, bijective in ((identity_morphism(gg), True), (zero, False)):
+        rank_calls.clear()
+        mp = h1_map(mor)
+        for _ in range(2):
+            assert mp.is_injective() == mp.is_surjective() == mp.is_bijective() == bijective
+        assert len(rank_calls) == 1
 
 
 def test_cocycle_and_cochain_json_round_trip(segment_010):

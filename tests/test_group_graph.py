@@ -10,6 +10,7 @@ from conftest import (
     constant_group_graph,
     finite_gg,
     identity_morphism,
+    in_span,
     is_abelian,
     is_trivial_sub,
     value_from_json,
@@ -26,7 +27,7 @@ from groupgraph.generators import (
     random_tree,
     random_vector_group_graph,
 )
-from groupgraph.graph import Graph, GraphMorphism, Tree, contract
+from groupgraph.graph import Graph, GraphMorphism, Tree, contract, incidence_key
 from groupgraph.group_graph import (
     CAYLEY_TABLE_CELLS,
     DEFAULT_PRODUCT_ORDER_BUDGET,
@@ -523,6 +524,57 @@ def test_vector_quotient_dims_and_maps():
     # the projection kills exactly the sub
     for s in gg.stars():
         assert proj.maps[s].apply([linalg.frac(1), linalg.frac(0)]) == [linalg.frac(0)]
+
+
+def oracle_sub_violation(g, subs):
+    """The message for the first incidence whose restriction sends a vector
+    of the vertex's sub outside the edge's sub, one `in_span` per vector, or
+    None when every incidence keeps the sub."""
+    for v, e in g.base.incidences():
+        rho = g.restriction(v, e)
+        for vec in subs[v]:
+            if not in_span(subs[e], rho.apply(vec)):
+                return f"restriction at {incidence_key(v, e)} leaves the sub"
+    return None
+
+
+def _random_vector_subs(rng, g):
+    """Spanning vectors per star, dependent ones included.  An edge's sub
+    holds its ends' images, all of them (stable) or all but one, with or
+    without an extra vector, or only random vectors."""
+    def vec(dim):
+        return [Fraction(rng.randint(-2, 2)) if rng.random() < 0.6 else Fraction(0)
+                for _ in range(dim)]
+
+    subs = {v: [vec(g.vobj[v].dim) for _ in range(rng.randint(0, g.vobj[v].dim + 1))]
+            for v in g.base.vertices}
+    for e in g.base.edges:
+        images = [g.restriction(v, e).apply(x) for v in e for x in subs[v]]
+        kind = rng.random()
+        if kind < 0.4:
+            subs[e] = images
+        elif kind < 0.8:
+            subs[e] = images[1:] + [vec(g.eobj[e].dim) for _ in range(rng.randint(0, 1))]
+        else:
+            subs[e] = [vec(g.eobj[e].dim) for _ in range(rng.randint(0, g.eobj[e].dim))]
+    return subs
+
+
+def test_vector_sub_group_graph_matches_the_in_span_oracle():
+    seen = {"accepted": 0, "rejected": 0}
+    for seed in range(400):
+        rng = random.Random(8000 + seed)
+        g = random_vector_group_graph(rng, random_tree(rng, rng.randint(1, 5)), max_dim=3)
+        subs = _random_vector_subs(rng, g)
+        expected = oracle_sub_violation(g, subs)
+        try:
+            SubGroupGraph(g, subs)
+            got = None
+        except GroupGraphError as exc:
+            got = str(exc)
+        assert got == expected, seed
+        seen["rejected" if expected else "accepted"] += 1
+    assert min(seen.values()) >= 80, seen
 
 
 # --- tensor ---------------------------------------------------------------------

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_rref, rank_mod_p
+from conftest import (
+    dense_rref, greedy_extend_to_basis, in_span, rank_mod_p, solve, vector_gg,
+)
 from groupgraph import linalg
+from groupgraph.cohomology import h1_vector
 from groupgraph.generators import random_regular_vector, random_tree, random_vector_group_graph
 from groupgraph.group_graph import _difference_map
 
@@ -33,15 +36,15 @@ def test_kernel_basis():
 
 def test_solve():
     m = linalg.mat([[2, 0], [0, 3]])
-    assert linalg.solve(m, [F(4), F(9)], 2) == [F(2), F(3)]
-    assert linalg.solve(linalg.mat([[1], [1]]), [F(1), F(2)], 1) is None
+    assert solve(m, [F(4), F(9)], 2) == [F(2), F(3)]
+    assert solve(linalg.mat([[1], [1]]), [F(1), F(2)], 1) is None
 
 
 def test_in_span():
-    assert linalg.in_span([[F(1), F(0)]], [F(3), F(0)])
-    assert not linalg.in_span([[F(1), F(0)]], [F(0), F(1)])
-    assert linalg.in_span([], [F(0), F(0)])
-    assert not linalg.in_span([], [F(1), F(0)])
+    assert in_span([[F(1), F(0)]], [F(3), F(0)])
+    assert not in_span([[F(1), F(0)]], [F(0), F(1)])
+    assert in_span([], [F(0), F(0)])
+    assert not in_span([], [F(1), F(0)])
 
 
 def test_quotient_map_kills_exactly_the_subspace():
@@ -55,26 +58,19 @@ def test_quotient_map_kills_exactly_the_subspace():
     assert qs == linalg.identity(2)
 
 
-def test_extend_to_basis_is_deterministic():
-    got = linalg.extend_to_basis([[F(1), F(1), F(0)]], 3)
+def h1_free_positions(vectors, dim):
+    """`h1_vector`'s free positions on one edge (a, b) with G_e = Q^dim,
+    G_a = Q^len(vectors) and G_b = 0, where rho_a has the vectors as its
+    columns, so B1 = span(vectors)."""
+    rho_a = [[v[i] for v in vectors] for i in range(dim)]
+    g = vector_gg(["a", "b"], [("a", "b")], {"a": len(vectors), "b": 0}, {("a", "b"): dim},
+                  {("a", ("a", "b")): rho_a})
+    return h1_vector(g)._b1_echelon[1]
+
+
+def test_h1_free_positions_are_deterministic():
+    got = h1_free_positions([[F(1), F(1), F(0)]], 3)
     assert got == [0, 2]  # e0 raises the rank, e1 does not after e0, e2 does
-
-
-def greedy_extend_to_basis(vectors, dim):
-    """Slow oracle: add e_i, in coordinate order, whenever it raises the rank."""
-    rows = [v[:] for v in vectors]
-    current = linalg.rank(rows)
-    chosen = []
-    for i in range(dim):
-        e = [Fraction(1 if j == i else 0) for j in range(dim)]
-        cand = rows + [e]
-        if linalg.rank(cand) > current:
-            rows = cand
-            current += 1
-            chosen.append(i)
-        if current == dim:
-            break
-    return chosen
 
 
 def random_vectors(rng, dim):
@@ -95,7 +91,7 @@ def random_vectors(rng, dim):
     return vectors
 
 
-def test_extend_to_basis_matches_greedy_oracle():
+def test_h1_free_positions_match_greedy_oracle():
     rng = random.Random(20211005)
     cases = [([], 0), ([], 1), ([[F(0)]], 1), ([[F(2)]], 1), ([[F(0), F(0)]], 2),
              (linalg.identity(4), 4), ([[F(1), F(2), F(3)], [F(2), F(4), F(6)]], 3)]
@@ -107,7 +103,7 @@ def test_extend_to_basis_matches_greedy_oracle():
               for d in (2, 3, 4) for _ in range(20)]
     full_rank = 0
     for vectors, dim in cases:
-        got = linalg.extend_to_basis(vectors, dim)
+        got = h1_free_positions(vectors, dim)
         assert got == greedy_extend_to_basis(vectors, dim), (vectors, dim)
         assert linalg.rank(vectors) + len(got) == dim
         full_rank += dim > 0 and got == []

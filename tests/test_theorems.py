@@ -420,6 +420,31 @@ def test_quotient_iso_verify_compiles_the_lift_once(monkeypatch):
     assert calls == {"Tree": 2, "subtree_parents": 1}
 
 
+def test_quotient_iso_verify_sizes_the_image_once(monkeypatch):
+    import groupgraph.theorems as theorems
+
+    reads = []
+
+    class CountedMapping(list):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    real = theorems.h1_map
+
+    def counted_h1_map(*args):
+        mp = real(*args)
+        mp.mapping = CountedMapping(mp.mapping)
+        return mp
+
+    monkeypatch.setattr(theorems, "h1_map", counted_h1_map)
+    gg = constant_group_graph(Graph.make("abc", [("a", "b"), ("b", "c")]), cyclic_group(4))
+    k = SubGroupGraph(gg, {s: frozenset({0, 2}) for s in gg.stars()})
+    rpt = quotient_iso_verify(gg, k)
+    assert rpt["bijective"] and rpt["ok"]
+    assert len(reads) == 1  # one image size for both bijectivity reads
+
+
 # --- direct image ------------------------------------------------------------------
 
 
