@@ -32,7 +32,7 @@ from .graph import (
     path_to_root,
     validate_tree,
 )
-from .group_graph import GroupGraph, GroupHom, VectorSpace, _is_int, is_regular
+from .group_graph import GroupGraph, VectorSpace, _is_int, is_regular
 from .theorems import VerificationError, HypothesisViolated, regular_h1
 from . import _jsontext, linalg
 
@@ -382,12 +382,12 @@ class Analysis:
         spec, red = self.spec, self.red
         vobj = {v: VectorSpace(spec.vertex_tdim[v]) for v in red.vertices}
         eobj = {e: VectorSpace(spec.edge_tdim[e]) for e in red.edges}
-        restrictions = {}
-        for v, e in red.incidences():
+
+        def matrix(v: str, e: Edge):
             dv, de = vobj[v].dim, eobj[e].dim
-            matrix = linalg.identity(dv) if self.classes[(v, e)] == "iso" else linalg.zeros(de, dv)
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], matrix, validate=False)
-        gg = GroupGraph(red, "vector", vobj, eobj, restrictions)
+            return linalg.identity(dv) if self.classes[(v, e)] == "iso" else linalg.zeros(de, dv)
+
+        gg = GroupGraph.assemble(red, "vector", vobj, eobj, matrix)
         ok, violations = is_regular(gg)
         if not ok:
             raise VerificationError(f"restricted symmetry graph is not regular: {violations}")

@@ -1,7 +1,10 @@
 """Seeded random instance families for the verifier suites.
 
 Every generator takes a random.Random so the CLI selfcheck and the tests can
-replay any failure from its seed.
+replay any failure from its seed.  Draws never follow a set's iteration order
+(which depends on the hash seed): per-star draws go over the sorted vertices,
+then the sorted edges, and per-incidence draws (the restrictions) are made by
+the `data` function that `GroupGraph.assemble` calls in `incidences()` order.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .graph import (
 from .group_graph import (
     FiniteGroup,
     GroupGraph,
-    GroupHom,
     SubGroupGraph,
     VectorSpace,
     cyclic_group,
@@ -36,27 +38,34 @@ def random_tree(rng: random.Random, n: int, prefix: str = "v") -> Tree:
     return Tree.make(names, edges)
 
 
-def random_invertible_matrix(rng: random.Random, d: int):
-    if d == 0:
-        return []
-    while True:
-        m = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
-        if linalg.rank(m) == d:
-            return m
-
-
 def random_matrix(rng: random.Random, rows: int, cols: int):
     return [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
 
 
 def random_surjective_matrix(rng: random.Random, rows: int, cols: int):
     """Full row rank; requires cols >= rows."""
-    if rows == 0:
-        return []
     while True:
         m = random_matrix(rng, rows, cols)
         if linalg.rank(m) == rows:
             return m
+
+
+def _matrix_assembly(
+    rng: random.Random, t: Tree, vdim: dict, edim: dict, surjective=frozenset(), zero=frozenset()
+) -> GroupGraph:
+    """Q^vdim[v] on each vertex and Q^edim[e] on each edge of t, with a random
+    restriction at each incidence: surjective at those in `surjective`, zero
+    at those in `zero`."""
+    vobj = {v: VectorSpace(d) for v, d in vdim.items()}
+    eobj = {e: VectorSpace(d) for e, d in edim.items()}
+
+    def matrix(v, e):
+        if (v, e) in zero:
+            return linalg.zeros(edim[e], vdim[v])
+        draw = random_surjective_matrix if (v, e) in surjective else random_matrix
+        return draw(rng, edim[e], vdim[v])
+
+    return GroupGraph.assemble(t.graph, "vector", vobj, eobj, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +87,10 @@ def random_regular_vector(rng: random.Random, max_vertices: int = 10, dims=(0, 1
         elif da == 0 or db == 0 or da == db:
             choices.add(max(da, db))
         edim[(a, b)] = rng.choice(sorted(choices))
-    vobj = {v: VectorSpace(vdim[v]) for v in t.vertices}
-    eobj = {e: VectorSpace(edim[e]) for e in t.graph.sorted_edges()}
-    restrictions = {}
-    for v, e in t.graph.incidences():
-        dv, de = vdim[v], edim[e]
-        if dv > 0 and de > 0:
-            m = random_invertible_matrix(rng, dv)  # dv == de by construction
-        else:
-            m = linalg.zeros(de, dv)
-        restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
-    return GroupGraph(t.graph, "vector", vobj, eobj, restrictions)
+    # surjective, so invertible, where both stars are supported (dv == de there
+    # by construction); elsewhere a dimension is 0 and the matrix is empty
+    supported = {(v, e) for v, e in t.graph.incidences() if vdim[v] and edim[e]}
+    return _matrix_assembly(rng, t, vdim, edim, surjective=supported)
 
 
 _GROUP_POOL: list[tuple[str, FiniteGroup]] | None = None
@@ -135,13 +137,13 @@ def random_regular_finite(
     triv = trivial_group()
     vobj = {v: (grp if rng.random() < 0.7 else triv) for v in t.graph.sorted_vertices()}
     eobj = {e: (grp if rng.random() < 0.7 else triv) for e in t.graph.sorted_edges()}
-    restrictions = {}
-    for v, e in t.graph.incidences():
+
+    def element_map(v, e):  # an automorphism between supported stars, else trivial
         if vobj[v].order > 1 and eobj[e].order > 1:
-            restrictions[(v, e)] = GroupHom(grp, grp, rng.choice(auts), validate=False)
-        else:
-            restrictions[(v, e)] = GroupHom.trivial(vobj[v], eobj[e])
-    return GroupGraph(t.graph, "finite", vobj, eobj, restrictions)
+            return rng.choice(auts)
+        return (0,) * vobj[v].order
+
+    return GroupGraph.assemble(t.graph, "finite", vobj, eobj, element_map)
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +163,31 @@ def random_connected_subset(rng: random.Random, t: Tree, size: int) -> frozenset
     return frozenset(chosen)
 
 
-def _times(src: FiniteGroup, tgt: FiniteGroup, c: int) -> GroupHom:
-    """The map x -> c*x mod |tgt| between cyclic groups."""
-    return GroupHom(src, tgt, tuple((c * x) % tgt.order for x in range(src.order)), validate=False)
+def _times(src: FiniteGroup, tgt: FiniteGroup, c: int) -> tuple[int, ...]:
+    """The element map x -> c*x mod |tgt| between cyclic groups."""
+    return tuple((c * x) % tgt.order for x in range(src.order))
 
 
-def _cyclic_hom(rng: random.Random, src: FiniteGroup, tgt: FiniteGroup) -> GroupHom:
-    """A random homomorphism between cyclic groups."""
-    n, m = src.order, tgt.order
-    g = math.gcd(n, m)
-    return _times(src, tgt, (m // g) * rng.randrange(g))
+def _cyclic_assembly(
+    rng: random.Random, t: Tree, vord: dict, eord: dict, surjective=frozenset()
+) -> GroupGraph:
+    """Z_vord[v] on each vertex and Z_eord[e] on each edge of t, with a random
+    restriction at each incidence, surjective at those in `surjective`."""
+    groups = {o: cyclic_group(o) for o in {*vord.values(), *eord.values()}}
+    vobj = {v: groups[o] for v, o in vord.items()}
+    eobj = {e: groups[o] for e, o in eord.items()}
 
+    def element_map(v, e):  # x -> c*x from Z_n to Z_m
+        n, m = vobj[v].order, eobj[e].order
+        if (v, e) in surjective:  # m divides n: c is a unit mod m
+            units = [c for c in range(1, m + 1) if math.gcd(c, m) == 1]
+            c = rng.choice(units) if m > 1 else 0
+        else:  # any multiple of m / gcd(n, m) is a homomorphism
+            g = math.gcd(n, m)
+            c = (m // g) * rng.randrange(g)
+        return _times(vobj[v], eobj[e], c)
 
-def _surjective_cyclic_hom(rng: random.Random, src: FiniteGroup, tgt: FiniteGroup) -> GroupHom:
-    """Surjective hom onto a cyclic group whose order divides |src|."""
-    m = tgt.order
-    units = [c for c in range(1, m + 1) if math.gcd(c, m) == 1]
-    return _times(src, tgt, rng.choice(units) if m > 1 else 0)
+    return GroupGraph.assemble(t.graph, "finite", vobj, eobj, element_map)
 
 
 def random_repulsive_instance(
@@ -194,29 +204,13 @@ def random_repulsive_instance(
         edim = {e: rng.randint(0, 2) for e in t.graph.sorted_edges()}
         for v, e in constrained:
             edim[e] = min(edim[e], vdim[v])
-        vobj = {v: VectorSpace(vdim[v]) for v in t.vertices}
-        eobj = {e: VectorSpace(edim[e]) for e in edim}
-        restrictions = {}
-        for v, e in t.graph.incidences():
-            if (v, e) in constrained:
-                m = random_surjective_matrix(rng, edim[e], vdim[v])
-            else:
-                m = random_matrix(rng, edim[e], vdim[v])
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
-        return GroupGraph(t.graph, "vector", vobj, eobj, restrictions), rset
+        return _matrix_assembly(rng, t, vdim, edim, surjective=constrained), rset
     orders = [1, 2, 3, 4, 6]
     vord = {v: rng.choice(orders) for v in t.graph.sorted_vertices()}
     eord = {e: rng.choice(orders) for e in t.graph.sorted_edges()}
     for v, e in sorted(constrained):
         eord[e] = rng.choice([d for d in orders if vord[v] % d == 0])
-    groups = {o: cyclic_group(o) for o in orders}
-    vobj = {v: groups[vord[v]] for v in t.vertices}
-    eobj = {e: groups[eord[e]] for e in eord}
-    restrictions = {}
-    for v, e in t.graph.incidences():
-        hom = _surjective_cyclic_hom if (v, e) in constrained else _cyclic_hom
-        restrictions[(v, e)] = hom(rng, vobj[v], eobj[e])
-    return GroupGraph(t.graph, "finite", vobj, eobj, restrictions), rset
+    return _cyclic_assembly(rng, t, vord, eord, surjective=constrained), rset
 
 
 def random_nonrepulsive_instance(
@@ -233,17 +227,8 @@ def random_nonrepulsive_instance(
         vdim = {v: rng.randint(0, 2) for v in t.graph.sorted_vertices()}
         edim = {e: rng.randint(0, 2) for e in t.graph.sorted_edges()}
         bad_v, bad_e = constrained[rng.randrange(len(constrained))]
-        edim[bad_e] = rng.randint(1, 2)
-        vobj = {v: VectorSpace(vdim[v]) for v in t.vertices}
-        eobj = {e: VectorSpace(edim[e]) for e in edim}
-        restrictions = {}
-        for v, e in t.graph.incidences():
-            if (v, e) == (bad_v, bad_e):
-                m = linalg.zeros(edim[e], vdim[v])  # certainly not surjective
-            else:
-                m = random_matrix(rng, edim[e], vdim[v])
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
-        return GroupGraph(t.graph, "vector", vobj, eobj, restrictions), rset
+        edim[bad_e] = rng.randint(1, 2)  # so the zero map is certainly not surjective
+        return _matrix_assembly(rng, t, vdim, edim, zero={(bad_v, bad_e)}), rset
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +248,24 @@ def random_exact_sequence(
         grp = dihedral_group(4)
         auts = automorphisms_of("D4", grp)
         sub = frozenset({0, 1, 2, 3}) if rng.random() < 0.5 else frozenset({0, 2})
-        vobj = {v: grp for v in t.vertices}
-        eobj = {e: grp for e in t.graph.sorted_edges()}
-        restrictions = {
-            (v, e): GroupHom(grp, grp, rng.choice(auts), validate=False)
-            for v, e in t.graph.incidences()
-        }
-        g = GroupGraph(t.graph, "finite", vobj, eobj, restrictions)
-        return g, SubGroupGraph(g, {s: sub for s in g.stars()})
-    # cyclic family: Z_m everywhere, kernel the subgroup generated by d
-    m, d = rng.choice([(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3)])
-    grp = cyclic_group(m)
-    sub = frozenset(range(0, m, d))
-    good_cs = [c for c in range(1, m) if math.gcd(c, m // d) == 1]
-    bad_cs = [c for c in range(1, m) if math.gcd(c, m // d) > 1]
-    incidences = t.graph.incidences()
-    spoiled = rng.randrange(len(incidences)) if not good else None
-    restrictions = {}
-    for i, (v, e) in enumerate(incidences):
-        c = rng.choice(bad_cs if i == spoiled else good_cs)
-        restrictions[(v, e)] = _times(grp, grp, c)
+
+        def element_map(v, e):
+            return rng.choice(auts)
+    else:
+        # cyclic family: Z_m everywhere, kernel the subgroup generated by d
+        m, d = rng.choice([(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3)])
+        grp = cyclic_group(m)
+        sub = frozenset(range(0, m, d))
+        good_cs = [c for c in range(1, m) if math.gcd(c, m // d) == 1]
+        bad_cs = [c for c in range(1, m) if math.gcd(c, m // d) > 1]
+        incidences = t.graph.incidences()
+        spoiled = incidences[rng.randrange(len(incidences))] if not good else None
+
+        def element_map(v, e):
+            return _times(grp, grp, rng.choice(bad_cs if (v, e) == spoiled else good_cs))
     vobj = {v: grp for v in t.vertices}
     eobj = {e: grp for e in t.graph.sorted_edges()}
-    g = GroupGraph(t.graph, "finite", vobj, eobj, restrictions)
+    g = GroupGraph.assemble(t.graph, "finite", vobj, eobj, element_map)
     return g, SubGroupGraph(g, {s: sub for s in g.stars()})
 
 
@@ -297,25 +277,13 @@ def random_finite_group_graph(rng: random.Random, t: Tree, max_order: int = 4) -
     orders = [o for o in (1, 2, 3, 4) if o <= max_order]
     vord = {v: rng.choice(orders) for v in t.graph.sorted_vertices()}
     eord = {e: rng.choice(orders) for e in t.graph.sorted_edges()}
-    groups = {o: cyclic_group(o) for o in orders}
-    vobj = {v: groups[vord[v]] for v in t.vertices}
-    eobj = {e: groups[eord[e]] for e in eord}
-    restrictions = {
-        (v, e): _cyclic_hom(rng, vobj[v], eobj[e]) for v, e in t.graph.incidences()
-    }
-    return GroupGraph(t.graph, "finite", vobj, eobj, restrictions)
+    return _cyclic_assembly(rng, t, vord, eord)
 
 
 def random_vector_group_graph(rng: random.Random, t: Tree, max_dim: int = 2) -> GroupGraph:
     vdim = {v: rng.randint(0, max_dim) for v in t.graph.sorted_vertices()}
     edim = {e: rng.randint(0, max_dim) for e in t.graph.sorted_edges()}
-    vobj = {v: VectorSpace(vdim[v]) for v in t.vertices}
-    eobj = {e: VectorSpace(edim[e]) for e in edim}
-    restrictions = {
-        (v, e): GroupHom(vobj[v], eobj[e], random_matrix(rng, edim[e], vdim[v]), validate=False)
-        for v, e in t.graph.incidences()
-    }
-    return GroupGraph(t.graph, "vector", vobj, eobj, restrictions)
+    return _matrix_assembly(rng, t, vdim, edim)
 
 
 def random_direct_image_pair(

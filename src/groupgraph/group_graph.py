@@ -158,8 +158,9 @@ class FiniteGroup:
         return n
 
     def is_subgroup(self, elems) -> bool:
+        """Whether elems, of any values, form a subgroup of this group."""
         s = set(elems)
-        if 0 not in s:
+        if 0 not in s or not all(_is_int(a) and 0 <= a < self.order for a in s):
             return False
         t, inv = self.table, self.inverses
         return all(t[a][b] in s and inv[a] in s for a in s for b in s)
@@ -433,13 +434,6 @@ class GroupHom:
             return GroupHom(obj, obj, tuple(range(obj.order)), validate=False)
         return GroupHom(obj, obj, linalg.identity(obj.dim), validate=False)
 
-    @staticmethod
-    def trivial(source, target) -> "GroupHom":
-        """The hom killing everything (zero matrix / constant identity)."""
-        if isinstance(source, FiniteGroup):
-            return GroupHom(source, target, (0,) * source.order, validate=False)
-        return GroupHom(source, target, linalg.zeros(target.dim, source.dim), validate=False)
-
     def to_json(self) -> dict:
         if self.kind == "finite":
             return {"map": list(self.data)}
@@ -561,6 +555,19 @@ class GroupGraph:
             raise GroupGraphError(f"malformed group-graph: {exc}") from exc
         return GroupGraph(base, carrier, vobj, eobj, restrictions)
 
+    @staticmethod
+    def assemble(base: Graph, carrier: str, vobj: dict, eobj: dict, data) -> "GroupGraph":
+        """The group-graph whose restriction at each incidence (v, e) is the
+        trusted hom vobj[v] -> eobj[e] with `data(v, e)` as its `GroupHom.data`
+        (an element map or a matrix).  `data` is called once per incidence in
+        `base.incidences()` order, so a generator that draws inside it draws in
+        that order in every process."""
+        restrictions = {
+            (v, e): GroupHom(vobj[v], eobj[e], data(v, e), validate=False)
+            for v, e in base.incidences()
+        }
+        return GroupGraph(base, carrier, vobj, eobj, restrictions)
+
 
 class GroupGraphMorphism:
     """Morphism of group-graphs over a graph morphism.
@@ -634,18 +641,15 @@ def pullback(phi: GraphMorphism, g: GroupGraph) -> tuple[GroupGraph, GroupGraphM
     if g.base != phi.target:
         raise GroupGraphError("group-graph does not live on the morphism target")
     vobj = {v: g.vobj[phi.apply(v)] for v in phi.source.vertices}
-    eobj = {}
-    for e in phi.source.edges:
-        img = phi.apply_edge(e)
-        eobj[e] = g.vobj[img] if isinstance(img, str) else g.eobj[img]
-    restrictions = {}
-    for v, e in phi.source.incidences():
+    eobj = {e: g.obj(phi.apply_edge(e)) for e in phi.source.edges}
+
+    def data(v: str, e: Edge):
         img = phi.apply_edge(e)
         if isinstance(img, str):
-            restrictions[(v, e)] = GroupHom.identity(vobj[v])
-        else:
-            restrictions[(v, e)] = g.restriction(phi.apply(v), img)
-    pb = GroupGraph(phi.source, g.carrier, vobj, eobj, restrictions)
+            return GroupHom.identity(vobj[v]).data
+        return g.restriction(phi.apply(v), img).data
+
+    pb = GroupGraph.assemble(phi.source, g.carrier, vobj, eobj, data)
     canonical = GroupGraphMorphism(
         phi, g, pb, {s: GroupHom.identity(pb.obj(s)) for s in pb.stars()}
     )
@@ -723,14 +727,14 @@ def _fiber_h0(g: GroupGraph, fiber: Graph, budget: int):
 
 def _product(carrier: str, factors: list, budget: int):
     """Product of group objects, its projection to each factor, and the
-    pairing (source, one hom per factor) -> the hom into the product."""
+    pairing (source, one hom per factor) -> the data of the hom into the
+    product."""
     if carrier == "finite":
         prod, elems = direct_product_group(factors, budget)
         pos = {t: i for i, t in enumerate(elems)}
 
         def pair(source, homs):
-            data = [pos[tuple(h.data[x] for h in homs)] for x in range(source.order)]
-            return GroupHom(source, prod, data, validate=False)
+            return [pos[tuple(h.data[x] for h in homs)] for x in range(source.order)]
 
         projs = [GroupHom(prod, f, [t[k] for t in elems], validate=False)
                  for k, f in enumerate(factors)]
@@ -742,7 +746,7 @@ def _product(carrier: str, factors: list, budget: int):
         off += f.dim
 
     def pair(source, homs):  # stacked rows: zeros(0, n) for an empty fiber
-        return GroupHom(source, prod, [row for h in homs for row in h.data], validate=False)
+        return [row for h in homs for row in h.data]
 
     return prod, projs, pair
 
@@ -775,13 +779,9 @@ def direct_image(
     def via(x: str, e: Edge) -> GroupHom:  # H0 of x's fiber -> G_x -> G_e
         return g.restriction(x, e).compose(proj[x])
 
-    restrictions = {
-        (v2, e2): pair[e2](vobj[v2], [
-            via(e[0] if phi.apply(e[0]) == v2 else e[1], e) for e in edge_fiber[e2]
-        ])
-        for v2, e2 in tgt.incidences()
-    }
-    out = GroupGraph(tgt, g.carrier, vobj, eobj, restrictions)
+    out = GroupGraph.assemble(tgt, g.carrier, vobj, eobj, lambda v2, e2: pair[e2](vobj[v2], [
+        via(e[0] if phi.apply(e[0]) == v2 else e[1], e) for e in edge_fiber[e2]
+    ]))
 
     # canonical projection j: direct image -> g, over phi
     maps = {v: proj[v] for v in g.base.sorted_vertices()}
@@ -799,37 +799,31 @@ class SubGroupGraph:
 
     def __init__(self, parent: GroupGraph, subs: dict):
         self.parent = parent
-        if parent.carrier == "finite":
-            self.subs = {s: frozenset(x) for s, x in subs.items()}
-        else:
-            self.subs = {
-                s: linalg.row_space_basis([[linalg.frac(c) for c in vec] for vec in x])
-                for s, x in subs.items()
-            }
-        self._validate()
-
-    def _validate(self):
-        stars = set(self.parent.base.vertices) | set(self.parent.base.edges)
-        if set(self.subs) != stars:
+        if set(subs) != set(parent.base.vertices) | set(parent.base.edges):
             raise GroupGraphError("sub-assignment is not total")
-        for s in stars:
-            obj = self.parent.obj(s)
-            if self.parent.carrier == "finite":
-                if not obj.is_subgroup(self.subs[s]):
-                    raise GroupGraphError(f"not a subgroup at {s}")
-            else:
-                for vec in self.subs[s]:
-                    if len(vec) != obj.dim:
-                        raise GroupGraphError(f"basis vector of wrong length at {s}")
-        for v, e in self.parent.base.incidences():
-            rho = self.parent.restriction(v, e)
-            images = [rho.apply(x) for x in self.subs[v]]
-            if self.parent.carrier == "finite":
+        self.subs = {s: self._checked(s, x) for s, x in subs.items()}
+        for v, e in parent.base.incidences():
+            images = [parent.restriction(v, e).apply(x) for x in self.subs[v]]
+            if parent.carrier == "finite":
                 stable = all(y in self.subs[e] for y in images)
             else:  # subs[e] is independent: the images lie in its span iff they add no rank
                 stable = linalg.rank(self.subs[e] + images) == len(self.subs[e])
             if not stable:
                 raise GroupGraphError(f"restriction at {incidence_key(v, e)} leaves the sub")
+
+    def _checked(self, s, x):
+        """The sub at star s, checked against G_s before a closure test or an
+        elimination reads it."""
+        obj = self.parent.obj(s)
+        if self.parent.carrier == "finite":
+            elems = frozenset(x)
+            if not obj.is_subgroup(elems):
+                raise GroupGraphError(f"not a subgroup at {s}")
+            return elems
+        vectors = [[linalg.frac(c) for c in vec] for vec in x]
+        if any(len(vec) != obj.dim for vec in vectors):
+            raise GroupGraphError(f"basis vector of wrong length at {s}")
+        return linalg.row_space_basis(vectors)
 
 
 def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGraph, GroupGraphMorphism]:
@@ -838,34 +832,27 @@ def quotient_with_projection(g: GroupGraph, k: SubGroupGraph) -> tuple[GroupGrap
     vector carrier every subspace is normal."""
     if k.parent is not g and k.parent.to_json() != g.to_json():
         raise GroupGraphError("sub-group-graph does not belong to this group-graph")
+    # per star: the quotient object and the data of the projection onto it
     if g.carrier == "finite":
         made = {s: g.obj(s).quotient(k.subs[s]) for s in g.stars()}
-        vobj = {v: made[v][0] for v in g.base.vertices}
-        eobj = {e: made[e][0] for e in g.base.edges}
-        restrictions = {}
-        for v, e in g.base.incidences():
-            qv, proj_v = made[v]
-            qe, proj_e = made[e]
-            rho = g.restriction(v, e)
-            reps = [proj_v.index(c) for c in range(qv.order)]
-            restrictions[(v, e)] = GroupHom(
-                qv, qe, [proj_e[rho.apply(r)] for r in reps], validate=False
-            )
-        quo = GroupGraph(g.base, "finite", vobj, eobj, restrictions)
-        maps = {s: GroupHom(g.obj(s), quo.obj(s), made[s][1], validate=False) for s in g.stars()}
+        objs = {s: q for s, (q, _) in made.items()}
+        qmaps = {s: proj for s, (_, proj) in made.items()}
+
+        def data(v: str, e: Edge):  # each coset of G_v through its smallest element
+            rho, proj_v = g.restriction(v, e).data, qmaps[v]
+            return [qmaps[e][rho[proj_v.index(c)]] for c in range(objs[v].order)]
     else:
         # the rows span the functionals that kill K_s: a surjection with kernel K_s
         qmaps = {s: linalg.kernel_basis(k.subs[s], g.obj(s).dim) for s in g.stars()}
         secs = {s: linalg.quotient_section(k.subs[s], g.obj(s).dim) for s in g.stars()}
-        vobj = {v: VectorSpace(len(qmaps[v])) for v in g.base.vertices}
-        eobj = {e: VectorSpace(len(qmaps[e])) for e in g.base.edges}
-        restrictions = {}
-        for v, e in g.base.incidences():
-            rho = g.restriction(v, e)
-            m = linalg.mat_mul(qmaps[e], linalg.mat_mul(rho.data, secs[v]))
-            restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
-        quo = GroupGraph(g.base, "vector", vobj, eobj, restrictions)
-        maps = {s: GroupHom(g.obj(s), quo.obj(s), qmaps[s], validate=False) for s in g.stars()}
+        objs = {s: VectorSpace(len(qmaps[s])) for s in g.stars()}
+
+        def data(v: str, e: Edge):
+            return linalg.mat_mul(qmaps[e], linalg.mat_mul(g.restriction(v, e).data, secs[v]))
+    vobj = {v: objs[v] for v in g.base.vertices}
+    eobj = {e: objs[e] for e in g.base.edges}
+    quo = GroupGraph.assemble(g.base, g.carrier, vobj, eobj, data)
+    maps = {s: GroupHom(g.obj(s), objs[s], qmaps[s], validate=False) for s in g.stars()}
     proj = GroupGraphMorphism(GraphMorphism.identity(g.base), g, quo, maps)
     return quo, proj
 
@@ -878,17 +865,12 @@ def tensor(t: GroupGraph, w: VectorSpace) -> GroupGraph:
     """Tensor a vector-space graph with a fixed space: dims multiply, maps Kronecker."""
     if t.carrier != "vector":
         raise GroupGraphError("tensor requires the vector carrier")
-    d = w.dim
+    d, unit = w.dim, linalg.identity(w.dim)
     vobj = {v: VectorSpace(o.dim * d) for v, o in t.vobj.items()}
     eobj = {e: VectorSpace(o.dim * d) for e, o in t.eobj.items()}
-    restrictions = {}
-    for v, e in t.base.incidences():
-        rho = t.restriction(v, e)
-        m = linalg.kron(
-            rho.data, (t.eobj[e].dim, t.vobj[v].dim), linalg.identity(d), (d, d)
-        )
-        restrictions[(v, e)] = GroupHom(vobj[v], eobj[e], m, validate=False)
-    return GroupGraph(t.base, "vector", vobj, eobj, restrictions)
+    return GroupGraph.assemble(t.base, "vector", vobj, eobj, lambda v, e: linalg.kron(
+        t.restriction(v, e).data, (t.eobj[e].dim, t.vobj[v].dim), unit, (d, d)
+    ))
 
 
 def support(g: GroupGraph) -> list:

@@ -169,7 +169,7 @@ def finite_gg(vertices, edges, vgroups, egroups, homs=None):
         elif vobj[v] == eobj[e]:
             restrictions[key] = GroupHom.identity(vobj[v])
         else:
-            restrictions[key] = GroupHom.trivial(vobj[v], eobj[e])
+            restrictions[key] = GroupHom(vobj[v], eobj[e], (0,) * vobj[v].order)
     return GroupGraph(g, "finite", vobj, eobj, restrictions)
 
 

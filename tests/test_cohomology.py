@@ -1073,7 +1073,7 @@ def test_h1_map_budgets_the_vector_bases():
 def test_h1_map_to_trivial_target():
     gg = seg_gg_finite(trivial_group(), trivial_group(), cyclic_group(3))
     triv = constant_group_graph(gg.base, trivial_group())
-    maps = {s: GroupHom.trivial(gg.obj(s), triv.obj(s)) for s in gg.stars()}
+    maps = {s: GroupHom(gg.obj(s), triv.obj(s), (0,) * gg.obj(s).order) for s in gg.stars()}
     mor = GroupGraphMorphism(GraphMorphism.identity(gg.base), gg, triv, maps)
     mp = h1_map(mor)
     assert set(mp.mapping) == {0}  # constant at the privileged class
@@ -1138,7 +1138,8 @@ def test_h1_map_ranks_its_matrix_once(monkeypatch):
                 VectorSpace(2))
     zero = GroupGraphMorphism(
         GraphMorphism.identity(gg.base), gg, gg,
-        {s: GroupHom.trivial(gg.obj(s), gg.obj(s)) for s in gg.stars()},
+        {s: GroupHom(gg.obj(s), gg.obj(s), linalg.zeros(gg.obj(s).dim, gg.obj(s).dim))
+         for s in gg.stars()},
     )
     for mor, bijective in ((identity_morphism(gg), True), (zero, False)):
         rank_calls.clear()

@@ -491,6 +491,22 @@ def test_quotient_z4_by_2z4_is_z2_everywhere():
         assert proj.maps[s].data == (0, 1, 0, 1)
 
 
+@pytest.mark.parametrize("bad", [{0, 7}, {0, "x"}], ids=["out-of-range", "not-an-element"])
+def test_sub_with_a_value_outside_the_group_is_refused(bad):
+    gg = constant_group_graph(Graph.make("ab", [("a", "b")]), cyclic_group(4))
+    subs = {s: bad if s == "b" else {0} for s in gg.stars()}
+    with pytest.raises(GroupGraphError, match="^not a subgroup at b$"):
+        SubGroupGraph(gg, subs)
+
+
+def test_vector_sub_with_a_ragged_basis_is_refused():
+    # the longer vector first: an elimination run before the length check fails
+    gg = vector_gg(["a", "b"], [("a", "b")], {"a": 2, "b": 2}, {("a", "b"): 2})
+    subs = {s: [[1, 0], [1]] if s == "b" else [] for s in gg.stars()}
+    with pytest.raises(GroupGraphError, match="^basis vector of wrong length at b$"):
+        SubGroupGraph(gg, subs)
+
+
 def test_quotient_requires_normality():
     d4 = dihedral_group(4)
     gg = constant_group_graph(Graph.make("ab", [("a", "b")]), d4)
@@ -684,7 +700,7 @@ def test_zero_vector_morphism_kernel_and_image():
     gg = vector_gg(["a", "b"], [("a", "b")], {"a": 2, "b": 2}, {("a", "b"): 2})
     zero = GroupGraphMorphism(
         GraphMorphism.identity(gg.base), gg, gg,
-        {s: GroupHom.trivial(gg.obj(s), gg.obj(s)) for s in gg.stars()},
+        {s: GroupHom(gg.obj(s), gg.obj(s), linalg.zeros(2, 2)) for s in gg.stars()},
     )
     ker = kernel_of(zero)
     assert all(len(ker.subs[s]) == 2 for s in gg.stars())
